@@ -22,6 +22,7 @@ import argparse
 import decimal
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -516,9 +517,21 @@ _RUNNERS = {
 }
 
 
+def _join_negative_points(argv: list[str]) -> list[str]:
+    """Rewrite '--x -5/64' as '--x=-5/64': argparse takes a token that
+    starts with '-' and is not a plain decimal for an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--x" and re.match(r"-\.?\d", token):
+            out[-1] = f"--x={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_join_negative_points(sys.argv[1:] if argv is None else argv))
     try:
         config = _config_from(ns)
         text, passed = _RUNNERS[config.subcommand](config)

@@ -27,6 +27,7 @@ All values here are immutable and hashable; operations return new values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -213,19 +214,48 @@ def _as_poly(value: Poly | Scalar) -> Poly:
     return Poly.const(_as_rat(value))
 
 
-def poly_derivative(p: Poly) -> Poly:
-    """d/dx of a polynomial; the degree drops by exactly one unless p is
-    constant."""
-    return p.derivative()
+def _integer_coeffs(p: Poly) -> list[int]:
+    """Coefficients of p times the lcm of their denominators."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    content = math.gcd(*coeffs)
+    return [c // content for c in coeffs]
+
+
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Gcd of nonzero integer polynomials, up to a constant, by the
+    primitive remainder sequence: integer pseudo-division, content removed
+    after every remainder, so coefficients stay small."""
+    u, v = _primitive(a), _primitive(b)
+    while v:
+        while len(u) >= len(v):
+            common = math.gcd(u[-1], v[-1])
+            lead, top = v[-1] // common, u[-1] // common
+            shift = len(u) - len(v)
+            u = [c * lead for c in u]
+            for i, c in enumerate(v):
+                u[shift + i] -= top * c
+            while u and u[-1] == 0:
+                u.pop()
+        u, v = v, (_primitive(u) if u else u)
+    return u
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals (Euclid); gcd(0, 0) = 0."""
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a * (1 / a.lead)
+    """Monic gcd over the rationals; gcd(0, 0) = 0.
+
+    Denominators are cleared and the gcd is taken over the integers by the
+    primitive remainder sequence, whose coefficients stay far smaller than
+    those of Euclid over Fraction.  The monic gcd is unique, so the method
+    does not show in the result."""
+    if a.is_zero or b.is_zero:
+        rest = b if a.is_zero else a
+        return rest if rest.is_zero else rest * (1 / rest.lead)
+    common = _primitive_gcd(_integer_coeffs(a), _integer_coeffs(b))
+    return Poly(tuple(Fraction(c, common[-1]) for c in common))
 
 
 @dataclass(frozen=True)
@@ -463,17 +493,6 @@ def _as_momentpoly(value) -> MomentPoly:
     if isinstance(value, Poly):
         return MomentPoly.from_poly(value)
     return MomentPoly.const(_as_rat(value))
-
-
-def momentpoly_dx(m: MomentPoly) -> MomentPoly:
-    """Partial derivative in x, taken coefficient-wise."""
-    return m.dx()
-
-
-def momentpoly_eval(m: MomentPoly, n: Scalar, x: Scalar) -> Rat:
-    """Exact rational value of m at rational (n, x); DenominatorZero at a
-    pole of any coefficient."""
-    return m.eval(n, x)
 
 
 @dataclass(frozen=True)

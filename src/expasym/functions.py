@@ -13,7 +13,7 @@ sin, cos, -sin, -cos so no pi arithmetic enters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -150,6 +150,23 @@ class SmoothFunction:
             while True:
                 yield s
                 s, c = s * cos_d + c * sin_d, c * cos_d - s * sin_d
+
+    def shifted(self, h: Scalar):
+        """(factor, g) with f(t + h) = factor * g(t) for every t.
+
+        Lets a caller stream f from t = h through g.values_iter.  The shift
+        is exact for polynomials (Taylor shift) and sinusoids (phase
+        b + a h, factor 1); for exponentials g = f and factor = e^(a h), an
+        mpf at the ambient precision."""
+        h = _as_rat(h)
+        if self.kind == POLY:
+            g = Poly()
+            for c in reversed(self.poly.coeffs):
+                g = g * Poly((h, Fraction(1))) + c
+            return mp.mpf(1), replace(self, poly=g)
+        if self.kind == EXP:
+            return mp.exp(to_mpf(self.a * h)), self
+        return mp.mpf(1), replace(self, b=self.b + self.a * h)
 
     def halfline_majorant(self) -> tuple[Rat, int, Rat]:
         """(C, d, a) with |f(t)| <= C*(1+t)^d * e^(a*t) for t >= 0, a >= 0."""

@@ -20,11 +20,12 @@ Families and rules:
   by Gauss-Hermite quadrature (normalised weights v_i = w_i/sqrt(pi)),
   convergence checked by doubling the order.
 
-Infinite series are truncated under a proven tail bound: sum at least
-K = max(ceil(4 n x), 64) terms, then continue while
-(current tail majorant) >= tol, where the majorant combines the weight's
-geometric decay beyond K with the declared polynomial growth bound of f.
-The reported value is then within tol of the infinite sum.
+Infinite series are summed over a window around the mode m of the weights
+(m = floor(n x) for szasz, floor((n+r-1) x) for baskakov): w_m comes from
+log-gamma, and the sum walks left and right from m until each side's tail
+is below a certified geometric bound, built from the weight ratios and
+the declared growth bound of f.  The window holds O(sqrt(n x)) terms, and
+the reported value is within tol of the infinite sum.
 
 Precision: all floating work uses mpmath at a configurable bit count
 (default 256, minimum 64); BigFloat is the mpf type.  Evaluators return
@@ -34,7 +35,6 @@ exact Fractions whenever every ingredient is rational.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -343,7 +343,7 @@ def bernstein_eval(
             delta = sum(signs[i] * values[k + i] for i in range(r + 1))
             total += basis * delta
             if k < m:
-                basis = basis * Fraction(m - k, k + 1) * step
+                basis = basis * (m - k) / (k + 1) * step
         return perm * total
 
 
@@ -354,65 +354,107 @@ def _series_eval(
     r: int,
     tol: Rat,
     prec: int | None,
-    weight_start,
-    weight_ratio,
-    ratio_limit: Rat,
+    log_weight,
+    scale: Rat,
+    offset: int,
+    slope: int,
     prefactor: int,
 ) -> BigFloat:
-    """Shared tail-bounded summation for szasz/baskakov.
+    """Shared windowed summation for szasz/baskakov.
 
-    weight_start() -> mpf t_0; weight_ratio(k) -> exact Fraction t_{k+1}/t_k,
-    non-increasing in k with limit ratio_limit.  Terms are majorised by
-    C (1 + (k+r)/n)^d E^(k+r) with E the rational stretch covering e^(a/n),
-    so the sum converges iff ratio_limit * E < 1; the cut happens once the
-    certified geometric tail drops under tol / (2 * prefactor).  Float drift
-    in the weight/stretch streams is ~k ulp at working precision, far inside
-    the factor-two margin left in tol."""
+    The weights w_k (k >= 0) satisfy w_{k+1}/w_k = scale (offset + slope k)
+    / (k + 1), which is non-increasing in k with limit scale * slope, so
+    w_k increases up to the mode m and decreases after it; log_weight(k) is
+    log w_k in closed form.  |Delta^r_{1/n} f(k/n)| is majorised by
+    M_k = C 2^r (1 + (k+r)/n)^d E^(k+r), non-decreasing in k, with E the
+    rational stretch covering e^(a/n); the series converges iff
+    scale * slope * E < 1.
+
+    The sum starts at m with w_m from log_weight (extra bits absorb the
+    cancellation among its log terms) and walks both ways:
+
+    * right, the terms beyond U are below w_{U+1} M_{U+1} / (1 - rho) with
+      rho = (w_{U+2}/w_{U+1}) (1 + 1/(n+U+1+r))^d E, which bounds every
+      later term ratio;
+    * left, the terms below L are below w_{L-1} M_m / (1 - w_{L-2}/w_{L-1}),
+      the weight ratio w_{k-1}/w_k increasing in k and M_k <= M_m.
+
+    Each side stops once its bound is under tol / (4 * prefactor), so the
+    two tails stay within tol / (2 * prefactor); the other half of tol is
+    the rounding margin.  Ratios are kept in mpf; drift along the window
+    is ~(U - L) ulp at working precision.  The values f((L + j)/n) come
+    from one values_iter stream of f shifted by L/n."""
     growth_const, growth_deg, growth_rate = f.halfline_majorant()
     stretch = _growth_stretch(growth_rate, n)
-    if ratio_limit * stretch >= 1:
+    if scale * slope * stretch >= 1:
         raise GrowthBoundViolated(
             f"{f.describe()} outruns the series weights at x = {format_rat(x)},"
             f" n = {n}"
         )
-    kmin = max(math.ceil(4 * n * x * stretch), 64)
+    mode = math.floor(scale * (offset - slope) / (1 - scale * slope))
+    # the log-gamma terms of log w_m are below (m + offset + 2) log2(m + offset + 2)
+    log_size = (mode + offset + 2) * (mode + offset + 2).bit_length()
     with working(prec):
-        signs = _difference_signs(r)
-        stream = f.values_iter(Fraction(1, n))
-        window = deque(islice(stream, r + 1), maxlen=r + 1)
-        bound_const = to_mpf(growth_const * 2**r)
+        scale_m = to_mpf(scale)
         stretch_m = to_mpf(stretch)
-        epow = mp.power(stretch_m, r + 1)
-        tol_series = to_mpf(tol) / (2 * prefactor)
-        weight = weight_start()
-        total = mp.mpf(0)
-        k = 0
+        bound_const = to_mpf(growth_const * 2**r)
+        side_tol = to_mpf(tol) / (4 * prefactor)
+        with mp.extraprec(log_size.bit_length() + 4):
+            w_mode = mp.exp(log_weight(mode))
+        w_mode = +w_mode
+
+        def ratio(k: int) -> BigFloat:
+            # w_{k+1}/w_k
+            return scale_m * (offset + slope * k) / (k + 1)
+
+        def left_ratio(k: int) -> BigFloat:
+            # w_{k-1}/w_k, for 1 <= k <= m
+            return k / (scale_m * (offset + slope * (k - 1)))
+
+        def poly_growth(k: int) -> BigFloat:
+            # (1 + (k+r)/n)^d, the polynomial part of M_k
+            return (1 + mp.mpf(k + r) / n) ** growth_deg
+
+        top = bound_const * poly_growth(mode) * stretch_m ** (mode + r)
+        left = []
+        weight, low = w_mode, mode
+        shrink = left_ratio(low) if low else 0
+        while low > 0:
+            weight = weight * shrink  # w_{low-1}
+            shrink = left_ratio(low - 1) if low > 1 else 0
+            if weight * top < side_tol * (1 - shrink):
+                break
+            left.append(weight)
+            low -= 1
+
+        right = []
+        weight, high = w_mode, mode
+        grow = ratio(high)
+        envelope = bound_const * stretch_m ** (high + 1 + r)  # C 2^r E^(high+1+r)
         while True:
-            delta = window[0] if r == 0 else sum(
-                signs[i] * window[i] for i in range(r + 1)
-            )
-            total += weight * delta
-            next_weight = weight * to_mpf(weight_ratio(k))
-            if k + 1 >= kmin:
-                rho = (
-                    weight_ratio(k + 1)
-                    * (1 + Fraction(1, n + k + 1 + r)) ** growth_deg
-                    * stretch
-                )
-                if rho < 1:
-                    majorant = (
-                        bound_const
-                        * to_mpf((1 + Fraction(k + 1 + r, n)) ** growth_deg)
-                        * epow
-                    )
-                    tail = next_weight * majorant / to_mpf(1 - rho)
-                    if tail < tol_series:
-                        break
-            weight = next_weight
-            epow = epow * stretch_m
-            window.append(next(stream))
-            k += 1
-        return prefactor * total
+            weight = weight * grow  # w_{high+1}
+            grow = ratio(high + 1)
+            rho = grow * stretch_m
+            if growth_deg:
+                rho = rho * (1 + mp.mpf(1) / (n + high + 1 + r)) ** growth_deg
+            if rho < 1:
+                tail = weight * envelope
+                if growth_deg:
+                    tail = tail * poly_growth(high + 1)
+                if tail < side_tol * (1 - rho):
+                    break
+            right.append(weight)
+            envelope = envelope * stretch_m
+            high += 1
+
+        left.reverse()
+        weights = left + [w_mode] + right
+        factor, g = f.shifted(Fraction(low, n))
+        values = list(islice(g.values_iter(Fraction(1, n)), len(weights) + r))
+        for _ in range(r):
+            values = [b - a for a, b in zip(values, values[1:])]
+        total = mp.fdot(weights, values)
+        return prefactor * factor * total
 
 
 def szasz_eval(
@@ -433,15 +475,12 @@ def szasz_eval(
         return n**r * forward_difference(f, Fraction(0), Fraction(1, n), r, prec)
     rate = n * x
 
-    def weight_start():
-        return mp.exp(-to_mpf(rate))
+    def log_weight(k: int) -> BigFloat:
+        # w_k = e^{-nx} (nx)^k / k!
+        rate_m = to_mpf(rate)
+        return -rate_m + k * mp.log(rate_m) - mp.loggamma(k + 1)
 
-    def weight_ratio(k: int) -> Rat:
-        return rate / (k + 1)
-
-    return _series_eval(
-        f, n, x, r, tol, prec, weight_start, weight_ratio, Fraction(0), n**r
-    )
+    return _series_eval(f, n, x, r, tol, prec, log_weight, rate, 1, 0, n**r)
 
 
 def baskakov_eval(
@@ -463,15 +502,17 @@ def baskakov_eval(
         return rising * forward_difference(f, Fraction(0), Fraction(1, n), r, prec)
     q = x / (1 + x)
 
-    def weight_start():
-        return mp.power(to_mpf(1 + x), -(n + r))
+    def log_weight(k: int) -> BigFloat:
+        # w_k = C(n+r+k-1, k) q^k (1+x)^{-(n+r)}
+        return (
+            mp.loggamma(n + r + k)
+            - mp.loggamma(k + 1)
+            - mp.loggamma(n + r)
+            + k * mp.log(to_mpf(q))
+            - (n + r) * mp.log(to_mpf(1 + x))
+        )
 
-    def weight_ratio(k: int) -> Rat:
-        return Fraction(n + r + k, k + 1) * q
-
-    return _series_eval(
-        f, n, x, r, tol, prec, weight_start, weight_ratio, q, rising
-    )
+    return _series_eval(f, n, x, r, tol, prec, log_weight, q, n + r, 1, rising)
 
 
 _GH_CACHE: dict[tuple[int, int], tuple[tuple, tuple]] = {}

@@ -96,6 +96,13 @@ class TestEvaluate:
         assert proc.returncode == 2
         assert "GrowthBoundViolated" in proc.stderr
 
+    def test_negative_point_as_separate_token(self):
+        common = ("evaluate", "--family", "gauss_weierstrass", "--f", "exp:1", "--n", "64")
+        spaced = run_cli(*common, "--x", "-5/64")
+        joined = run_cli(*common, "--x=-5/64")
+        assert spaced.returncode == 0, spaced.stderr
+        assert spaced.stdout == joined.stdout
+
 
 class TestExpansion:
     def test_first_coefficient(self):

@@ -119,6 +119,26 @@ class TestValuesIter:
             assert mpf_close(last, want, mp.mpf(2) ** -250)
 
 
+class TestShifted:
+    @given(st.sampled_from(["poly", "exp", "sin"]), rationals, rationals)
+    def test_factor_times_shifted_is_translate(self, kind, h, t):
+        if kind == "poly":
+            f = SmoothFunction.polynomial([1, -2, F(1, 3), F(5, 7)])
+        elif kind == "exp":
+            f = SmoothFunction.exponential(F(3, 2))
+        else:
+            f = SmoothFunction.sinusoid(F(5, 4), F(1, 3))
+        with mp.workprec(192):
+            factor, g = f.shifted(h)
+            assert mpf_close(factor * g.eval_mpf(t), f.eval_mpf(t + h), mp.mpf(2) ** -150)
+
+    def test_polynomial_shift_is_exact(self):
+        f = SmoothFunction.polynomial([1, -2, F(1, 3)])
+        _, g = f.shifted(F(5, 2))
+        for t in (F(0), F(1, 3), F(-7, 2)):
+            assert g.eval_exact(t) == f.eval_exact(t + F(5, 2))
+
+
 class TestMajorant:
     @given(st.lists(rationals, min_size=1, max_size=5), st.integers(0, 64))
     def test_polynomial_bound_holds(self, coeffs, tnum):

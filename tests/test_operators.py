@@ -223,6 +223,78 @@ class TestBaskakov:
         check_growth(BASKAKOV, hot, None, None)  # nothing to check yet
 
 
+def _szasz_closed_form(n, x, r, rate):
+    # S_n(e^{ct})^{(r)}(x) = (n(e^{c/n}-1))^r exp(nx(e^{c/n}-1)); rate may be complex
+    z = mp.exp(rate / n) - 1
+    return (n * z) ** r * mp.exp(n * to_mpf(x) * z)
+
+
+def _baskakov_closed_form(n, x, r, rate):
+    # V_n(e^{ct})^{(r)}(x) = (n)_r (e^{c/n}-1)^r (1+x-x e^{c/n})^{-(n+r)}
+    e = mp.exp(rate / n)
+    return math.prod(range(n, n + r)) * (e - 1) ** r * (1 + to_mpf(x) - to_mpf(x) * e) ** (-(n + r))
+
+
+class TestSeriesWindow:
+    """The szasz/baskakov sums start at the mode and cut both tails under
+    certified bounds; far from k = 0 they still meet the closed forms."""
+
+    N, X = 2**14, F(3)
+    SIN = SmoothFunction.sinusoid(F(3, 2), F(1, 3))
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "evaluate, closed_form",
+        [(szasz_eval, _szasz_closed_form), (baskakov_eval, _baskakov_closed_form)],
+    )
+    def test_exponential_far_from_origin(self, evaluate, closed_form, r):
+        with mp.workprec(320):
+            got = evaluate(EXP1, self.N, self.X, r)
+            want = closed_form(self.N, self.X, r, mp.mpf(1))
+            assert abs(got - want) <= tol_mpf()
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "evaluate, closed_form",
+        [(szasz_eval, _szasz_closed_form), (baskakov_eval, _baskakov_closed_form)],
+    )
+    def test_sinusoid_far_from_origin(self, evaluate, closed_form, r):
+        # sin(at + b) = Im(e^{ib} e^{iat}): the closed form at rate i a
+        with mp.workprec(320):
+            got = evaluate(self.SIN, self.N, self.X, r)
+            a, b = to_mpf(self.SIN.a), to_mpf(self.SIN.b)
+            want = (mp.expj(b) * closed_form(self.N, self.X, r, mp.mpc(0, a))).imag
+            assert abs(got - want) <= tol_mpf()
+
+    @pytest.mark.parametrize("n, x", [(4, F(1, 8)), (3, F(1, 3)), (7, F(5, 2))])
+    def test_mode_at_or_near_origin(self, n, x):
+        with mp.workprec(320):
+            for evaluate, closed_form in (
+                (szasz_eval, _szasz_closed_form),
+                (baskakov_eval, _baskakov_closed_form),
+            ):
+                for r in (0, 2):
+                    got = evaluate(EXP1, n, x, r)
+                    want = closed_form(n, x, r, mp.mpf(1))
+                    assert abs(got - want) <= tol_mpf(), (evaluate.__name__, r)
+
+    def test_window_grows_like_sqrt_nx(self, monkeypatch):
+        # the weights hold everything above tol within ~12 sqrt(nx) of the
+        # mode; a sum from k = 0 would pull more than 4 n x = 16384 values
+        pulled = 0
+        original = SmoothFunction.values_iter
+
+        def counting(self, step):
+            nonlocal pulled
+            for value in original(self, step):
+                pulled += 1
+                yield value
+
+        monkeypatch.setattr(SmoothFunction, "values_iter", counting)
+        szasz_eval(EXP1, 4096, F(1))
+        assert 0 < pulled <= 2000
+
+
 class TestGaussWeierstrass:
     def test_e2_frozen_value(self):
         got = gauss_weierstrass_eval(E2, 8, F(0))
