@@ -1,0 +1,68 @@
+"""Byte-for-byte CLI output, float and exact, against recorded stdout.
+
+Each case runs in-process through ``cli.main`` in every output format and
+must reproduce ``tests/golden/<case>.<format>`` exactly, with the recorded
+exit status.  The cases are the README commands plus three float-heavy
+runs (a series identity defect, a quadrature value and a sinusoid
+limit-defect study), so a change to number formatting, precision handling
+or summation order shows up here as a diff.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from expasym import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+FORMATS = ("text", "json", "csv")
+
+# case name -> (argv, exit status)
+CASES = {
+    "moments_bernstein": (["moments", "--family", "bernstein", "--s-max", "4"], 0),
+    "evaluate_szasz_poly": (
+        ["evaluate", "--family", "szasz", "--f", "poly:0,0,1", "--x", "1", "--n", "10"],
+        0,
+    ),
+    "verify_bernstein_exp": (
+        ["verify", "--family", "bernstein", "--f", "exp:1", "--x", "2/5",
+         "--r", "2", "--q", "1", "--grid", "64:6"],
+        0,
+    ),
+    "voronovskaja_baskakov_exp": (
+        ["voronovskaja", "--family", "baskakov", "--f", "exp:1", "--x", "1", "--grid", "64:5"],
+        0,
+    ),
+    "extrapolate_bernstein_exp": (
+        ["extrapolate", "--family", "bernstein", "--f", "exp:1", "--x", "2/5",
+         "--grid", "64:6", "--orders", "1,2"],
+        0,
+    ),
+    "identities_bernstein_poly": (
+        ["identities", "--family", "bernstein", "--f", "poly:0,0,1", "--x", "1/2", "--n", "8"],
+        0,
+    ),
+    "identities_szasz_poly": (
+        ["identities", "--family", "szasz", "--f", "poly:0,0,1", "--x", "1", "--n", "32"],
+        0,
+    ),
+    "evaluate_gauss_exp": (
+        ["evaluate", "--family", "gauss_weierstrass", "--f", "exp:1", "--x", "1", "--n", "64"],
+        0,
+    ),
+    "voronovskaja_szasz_sin": (
+        ["voronovskaja", "--family", "szasz", "--f", "sin:1,0", "--x", "1",
+         "--r", "1", "--grid", "64:4"],
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, fmt, capsys, monkeypatch):
+    monkeypatch.delenv(cli.PRECISION_ENV, raising=False)
+    argv, status = CASES[case]
+    assert cli.main([*argv, "--format", fmt]) == status
+    expected = (GOLDEN / f"{case}.{fmt}").read_text()
+    assert capsys.readouterr().out == expected
