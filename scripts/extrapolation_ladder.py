@@ -11,8 +11,11 @@ from mpmath import mp
 
 from expasym.expansion import voronovskaja_limit
 from expasym.functions import parse_function
-from expasym.operators import FAMILIES, operator_eval
-from expasym.verify import fit_order, richardson
+from expasym.numeric import subtract
+from expasym.operators import DEFAULT_TOL, FAMILIES
+from expasym.verify import AllResidualsZero, fit_order, richardson, scaled_defects
+
+PREC = 256
 
 
 def main() -> None:
@@ -29,28 +32,27 @@ def main() -> None:
     x = Fraction(args.x)
     orders = tuple(int(p) for p in args.orders.split(","))
     grid = tuple(args.n0 * 2**j for j in range(args.levels))
-    with mp.workprec(320):
-        limit = voronovskaja_limit(family, f, x, 0, prec=256)
-        values = [
-            n * (operator_eval(family, f, n, x, 0) - f.eval_mpf(x, 0))
-            for n in grid
-        ]
-        levels = richardson(grid, values, orders, prec=256)
-        print(f"{args.family}  f = {f.describe()}  x = {x}")
-        print(f"limit = {mp.nstr(limit, 12)}")
-        for m, row in enumerate(levels):
-            rendered = "  ".join(mp.nstr(v, 10) for v in row)
-            print(f"level {m}: {rendered}")
-        for m, row in enumerate(levels):
-            residuals = [abs(v - limit) for v in row]
-            if len(residuals) < 3:
-                print(f"level {m}: too short to fit")
-                continue
+    limit = voronovskaja_limit(family, f, x, 0, prec=PREC)
+    values = scaled_defects(family, f, x, 0, grid, DEFAULT_TOL, PREC, 64)
+    levels = richardson(grid, values, orders, prec=PREC)
+    print(f"{args.family}  f = {f.describe()}  x = {x}")
+    print(f"limit = {mp.nstr(limit, 12)}")
+    for m, row in enumerate(levels):
+        rendered = "  ".join(mp.nstr(v, 10) for v in row)
+        print(f"level {m}: {rendered}")
+    for m, row in enumerate(levels):
+        residuals = [subtract(v, limit, PREC) for v in row]
+        if len(residuals) < 3:
+            print(f"level {m}: too short to fit")
+            continue
+        try:
             slope, r_squared = fit_order(grid[: len(row)], residuals)
-            print(
-                f"level {m}: empirical order {slope:+.3f}  (r^2 = {r_squared:.4f})"
-            )
-
+        except AllResidualsZero:
+            print(f"level {m}: exact")
+            continue
+        print(
+            f"level {m}: empirical order {slope:+.3f}  (r^2 = {r_squared:.4f})"
+        )
 
 if __name__ == "__main__":
     main()

@@ -40,10 +40,10 @@ from .moments import (
     raw_moment,
     vanishing_order,
 )
+from .numeric import DEFAULT_PRECISION_BITS
 from .operators import (
     BASKAKOV,
     BERNSTEIN,
-    DEFAULT_PRECISION_BITS,
     DEFAULT_TOL,
     FAMILIES,
     GAUSS_WEIERSTRASS,

@@ -31,21 +31,21 @@ from .exactalg import format_rat
 from .expansion import complete_coeffs
 from .functions import SmoothFunction, parse_function
 from .moments import central_moments, moment_expansion
+from .numeric import DEFAULT_PRECISION_BITS, abs_le, format_number, resolve_precision
 from .operators import (
-    DEFAULT_PRECISION_BITS,
     DEFAULT_TOL,
-    MIN_PRECISION_BITS,
     OperatorFamily,
+    check_growth,
     get_family,
     operator_eval,
 )
 from .verify import (
     ConvergenceReport,
-    _format_number,
     ode_identity_check,
     psi_m_derivative_identity_check,
     residual_study,
     richardson,
+    scaled_defects,
     voronovskaja_study,
 )
 
@@ -170,16 +170,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_precision_bits(flag: int | None) -> int:
-    if flag is not None:
-        bits = flag
-    else:
-        env = os.environ.get(PRECISION_ENV)
-        bits = int(env) if env else DEFAULT_PRECISION_BITS
-    if bits < MIN_PRECISION_BITS:
-        raise ValueError(
-            f"precision {bits} below minimum {MIN_PRECISION_BITS} bits"
-        )
-    return bits
+    env = os.environ.get(PRECISION_ENV) or None
+    return resolve_precision(env if flag is None else flag)
 
 
 def _config_from(ns: argparse.Namespace) -> RunConfig:
@@ -217,53 +209,47 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
-    """Catch every precondition here so computation never crashes."""
+    """Preconditions the library does not check before its expensive work;
+    main maps every error the library raises to exit 2."""
     c = config
-    if c.r < 0:
-        raise ValueError("r must be >= 0")
+    # --side expansion would otherwise evaluate the expansion at n <= 0
     if c.n is not None and c.n < 1:
         raise ValueError("n must be >= 1")
-    if c.subcommand == "moments" and (c.s_max is None or c.s_max < 0):
+    # central_moments rejects s < 0 too, but its message does not name --s-max
+    if c.subcommand == "moments" and c.s_max < 0:
         raise ValueError("s-max must be >= 0")
-    if c.subcommand in ("expansion", "verify") and (c.q is None or c.q < 1):
+    # complete_coeffs accepts q = 0
+    if c.subcommand == "expansion" and c.q < 1:
         raise ValueError("q must be >= 1")
-    if c.subcommand == "identities" and (c.m_max is None or c.m_max < 1):
+    # with m-max < 1 no psi^m identity runs and the ode check alone would pass
+    if c.subcommand == "identities" and c.m_max < 1:
         raise ValueError("m-max must be >= 1")
+    # a missing --q would reach the library as None
     if c.subcommand == "evaluate" and c.side != "operator":
         minimum = 0 if c.side == "truncated" else 1
         if c.q is None or c.q < minimum:
             raise ValueError(f"side {c.side!r} needs --q >= {minimum}")
+    # only gauss_weierstrass_eval checks it; other families would accept any value
     if c.quad_order < 16:
         raise ValueError("quad-order must be >= 16")
+    # the expansion sides never check the point, and extrapolate needs it interior
     if c.x is not None and c.family is not None:
         interior = c.subcommand in ("verify", "voronovskaja", "extrapolate", "identities")
         c.family.require_point(c.x, interior=interior)
-    if c.f is not None:
-        from .operators import check_growth
-
-        if c.family is not None and c.subcommand != "moments":
-            n_low = c.n if c.n is not None else (min(c.grid) if c.grid else None)
-            check_growth(c.family, c.f, n_low, c.x)
-        if c.subcommand == "identities" and not c.f.is_polynomial:
-            raise ValueError("identities needs polynomial f")
-    if c.subcommand == "verify":
-        c.f.require_order(2 * c.q + c.r + 2)
-    if c.subcommand in ("voronovskaja", "extrapolate"):
-        c.f.require_order(c.r + 4)
-    if c.subcommand == "evaluate":
-        needed = {"operator": c.r, "expansion": 2 * (c.q or 0) + c.r, "truncated": 2 * (c.q or 0)}
-        c.f.require_order(needed[c.side])
-        if c.side == "truncated" and c.r != 0:
-            raise ValueError("truncated sums are undifferentiated; use --r 0")
-    if c.subcommand == "extrapolate" and c.grid is not None and c.orders is not None:
-        if len(c.orders) >= len(c.grid):
-            raise ValueError("orders ladder too long for the grid")
+    # Baskakov cannot sum fast-growing f; refuse it on the expansion sides too
+    if c.f is not None and c.family is not None:
+        n_low = c.n if c.n is not None else (min(c.grid) if c.grid else None)
+        check_growth(c.family, c.f, n_low, c.x)
+    # truncated_sum has no derivative order and would ignore --r
+    if c.subcommand == "evaluate" and c.side == "truncated" and c.r != 0:
+        raise ValueError("truncated sums are undifferentiated; use --r 0")
+    # richardson raises only after the whole defect sequence is computed
+    if c.subcommand == "extrapolate" and len(c.orders) >= len(c.grid):
+        raise ValueError("orders ladder too long for the grid")
+    # only bernstein_eval rejects r > n, and the expansion sides never call it
     if c.family is not None and c.family.evaluator == "bernstein" and c.n is not None:
         if c.r > c.n:
             raise ValueError(f"r = {c.r} above n = {c.n}")
-    if c.family is not None and c.family.evaluator == "bernstein" and c.grid is not None:
-        if c.r > min(c.grid):
-            raise ValueError(f"r = {c.r} above the smallest grid point")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -353,7 +339,7 @@ def _run_evaluate(c: RunConfig) -> tuple[str, bool]:
         )
     else:
         value = truncated_sum(c.family, c.f, c.x, c.n, c.q, prec=c.precision_bits)
-    rendered = _format_number(value)
+    rendered = format_number(value)
     if c.fmt == "text":
         return rendered + "\n", True
     if c.fmt == "json":
@@ -398,32 +384,10 @@ def _run_voronovskaja(c: RunConfig) -> tuple[str, bool]:
     return _report_output(c, report), report.passed
 
 
-def _defect_sequence(c: RunConfig) -> list:
-    from .verify import _subtract
-    from .operators import working
-
-    values = []
-    for n in c.grid:
-        op = operator_eval(
-            c.family, c.f, n, c.x, c.r,
-            tol=c.tol, prec=c.precision_bits, quad_order=c.quad_order,
-        )
-        target = c.f.eval_exact(c.x, c.r)
-        if target is None:
-            with working(c.precision_bits):
-                diff = _subtract(op, c.f.eval_mpf(c.x, c.r), c.precision_bits)
-        else:
-            diff = _subtract(op, target, c.precision_bits)
-        if isinstance(diff, Fraction):
-            values.append(n * diff)
-        else:
-            with working(c.precision_bits):
-                values.append(n * diff)
-    return values
-
-
 def _run_extrapolate(c: RunConfig) -> tuple[str, bool]:
-    values = _defect_sequence(c)
+    values = scaled_defects(
+        c.family, c.f, c.x, c.r, c.grid, c.tol, c.precision_bits, c.quad_order
+    )
     levels = richardson(c.grid, values, c.orders, prec=c.precision_bits)
     if c.fmt == "json":
         payload = {
@@ -433,30 +397,26 @@ def _run_extrapolate(c: RunConfig) -> tuple[str, bool]:
             "r": c.r,
             "grid": list(c.grid),
             "orders": list(c.orders),
-            "levels": [[_format_number(v) for v in row] for row in levels],
+            "levels": [[format_number(v) for v in row] for row in levels],
             **_settings(c),
         }
         return _json_text(payload), True
     if c.fmt == "csv":
         lines = ["n,value" + "".join(f",level{m}" for m in range(1, len(levels)))]
         for i, n in enumerate(c.grid):
-            cells = [str(n), _format_number(levels[0][i])]
+            cells = [str(n), format_number(levels[0][i])]
             for row in levels[1:]:
-                cells.append(_format_number(row[i]) if i < len(row) else "")
+                cells.append(format_number(row[i]) if i < len(row) else "")
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n", True
     lines = []
     for m, row in enumerate(levels):
-        body = "  ".join(_format_number(v) for v in row)
+        body = "  ".join(format_number(v) for v in row)
         lines.append(f"level {m}: {body}")
     return "\n".join(lines) + "\n", True
 
 
 def _run_identities(c: RunConfig) -> tuple[str, bool]:
-    from mpmath import mp
-
-    from .functions import to_mpf
-
     checks = []
     defect = ode_identity_check(
         c.family, c.f, c.n, c.x,
@@ -469,15 +429,8 @@ def _run_identities(c: RunConfig) -> tuple[str, bool]:
             tol=c.tol, prec=c.precision_bits, quad_order=c.quad_order,
         )
         checks.append((f"psi^{m}", defect))
-    results = []
     bound = 10 * c.tol
-    for name, defect in checks:
-        if isinstance(defect, Fraction):
-            ok = abs(defect) <= bound
-        else:
-            with mp.workprec(c.precision_bits):
-                ok = abs(defect) <= to_mpf(bound)
-        results.append((name, defect, ok))
+    results = [(name, defect, abs_le(defect, bound)) for name, defect in checks]
     passed = all(ok for _name, _defect, ok in results)
     if c.fmt == "json":
         payload = {
@@ -486,7 +439,7 @@ def _run_identities(c: RunConfig) -> tuple[str, bool]:
             "n": c.n,
             "x": format_rat(c.x),
             "checks": [
-                {"name": name, "defect": _format_number(d), "pass": ok}
+                {"name": name, "defect": format_number(d), "pass": ok}
                 for name, d, ok in results
             ],
             "pass": passed,
@@ -496,10 +449,10 @@ def _run_identities(c: RunConfig) -> tuple[str, bool]:
     if c.fmt == "csv":
         lines = ["check,defect,pass"]
         for name, d, ok in results:
-            lines.append(f"{name},{_format_number(d)},{str(ok).lower()}")
+            lines.append(f"{name},{format_number(d)},{str(ok).lower()}")
         return "\n".join(lines) + "\n", passed
     lines = [
-        f"{name}: defect = {_format_number(d)}  pass: {str(ok).lower()}"
+        f"{name}: defect = {format_number(d)}  pass: {str(ok).lower()}"
         for name, d, ok in results
     ]
     lines.append(f"pass: {str(passed).lower()}")

@@ -13,6 +13,10 @@ Three views of the same Taylor-plus-moments bookkeeping:
 voronovskaja_limit is the r-times differentiated second-order limit
 lim n [(S_n f)^{(r)} - f^{(r)}] = (phi f'')^{(r)} / 2, valid for families
 with index sequence n and vanishing first moment.
+
+Every evaluated form is a weighted sum of derivatives of f at x with
+rational weights; _derivative_sum computes it, exact or mpf as decided in
+expasym.numeric.
 """
 
 from __future__ import annotations
@@ -21,12 +25,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
-from .exactalg import MomentPoly, Poly, Rat, RatFuncN, Scalar, _as_rat
-from .functions import DerivativeCapExceeded, SmoothFunction, to_mpf
+from .exactalg import MomentPoly, Poly, Rat, Scalar, _as_rat
+from .functions import DerivativeCapExceeded, SmoothFunction
 from .moments import MomentTable, central_moments, moment_expansion
-from .operators import Number, OperatorFamily, working
+from .numeric import Number, dot
+from .operators import OperatorFamily
 
 __all__ = [
     "DerivativeCapExceeded",
@@ -101,20 +104,14 @@ def truncated_sum(
         raise ValueError("q must be >= 0")
     f.require_order(2 * q)
     table = central_moments(family, 2 * q)
-    if f.is_polynomial:
-        total = Fraction(0)
-        for s in range(2 * q + 1):
-            weight = table.moment(s).eval(n, x)
-            if weight:
-                total += weight * f.eval_exact(x, s) / math.factorial(s)
-        return total
-    with working(prec):
-        total = mp.mpf(0)
-        for s in range(2 * q + 1):
-            weight = table.moment(s).eval(n, x)
-            if weight:
-                total += to_mpf(weight) * f.eval_mpf(x, s) / math.factorial(s)
-        return total
+    return _derivative_sum(
+        f, x,
+        [
+            (table.moment(s).eval(n, x) * Fraction(1, math.factorial(s)), s)
+            for s in range(2 * q + 1)
+        ],
+        prec,
+    )
 
 
 def complete_coeffs(family: OperatorFamily, q: int) -> list[ExpansionCoefficient]:
@@ -122,10 +119,7 @@ def complete_coeffs(family: OperatorFamily, q: int) -> list[ExpansionCoefficient
     symbolic; only s in [k, 2k] can contribute to a_k."""
     if q < 0:
         raise ValueError("q must be >= 0")
-    if family.lambda_n != RatFuncN.index():
-        raise NotPureExponentialIndex(
-            f"family {family.id!r} has index sequence {family.lambda_n.text()}"
-        )
+    _require_pure(family)
     table = central_moments(family, 2 * q)
     per_order = [moment_expansion(table.moment(s)) for s in range(2 * q + 1)]
     out = []
@@ -177,20 +171,9 @@ def evaluate_derivative_expansion(
     prediction that operator evaluations are compared against."""
     f.require_order(2 * q + r)
     terms = derivative_terms(family, q, r)
-    if f.is_polynomial:
-        total = Fraction(0)
-        for term in terms:
-            weight = term.coefficient.eval(n, x)
-            if weight:
-                total += weight * f.eval_exact(x, term.s)
-        return total
-    with working(prec):
-        total = mp.mpf(0)
-        for term in terms:
-            weight = term.coefficient.eval(n, x)
-            if weight:
-                total += to_mpf(weight) * f.eval_mpf(x, term.s)
-        return total
+    return _derivative_sum(
+        f, x, [(term.coefficient.eval(n, x), term.s) for term in terms], prec
+    )
 
 
 def voronovskaja_limit(
@@ -211,20 +194,26 @@ def voronovskaja_limit(
     while not phi_derivs[-1].is_zero:
         phi_derivs.append(phi_derivs[-1].derivative())
     splits = [
-        (i, Fraction(math.comb(r, i), 2) * phi_derivs[i](x))
+        (Fraction(math.comb(r, i), 2) * phi_derivs[i](x), 2 + r - i)
         for i in range(min(r, len(phi_derivs) - 1) + 1)
     ]
-    if f.is_polynomial:
-        return sum(
-            (w * f.eval_exact(x, 2 + r - i) for i, w in splits if w),
-            Fraction(0),
-        )
-    with working(prec):
-        total = mp.mpf(0)
-        for i, w in splits:
-            if w:
-                total += to_mpf(w) * f.eval_mpf(x, 2 + r - i)
-        return total
+    return _derivative_sum(f, x, splits, prec)
+
+
+def _derivative_sum(
+    f: SmoothFunction,
+    x: Scalar,
+    weighted: list[tuple[Rat, int]],
+    prec: int | None,
+) -> Number:
+    """sum of w f^{(s)}(x) over the (w, s) pairs with w != 0; exact when
+    those derivatives of f at x are rational."""
+    weighted = [(w, s) for w, s in weighted if w]
+    return dot(
+        [w for w, _s in weighted],
+        [f.eval_number(x, s, prec) for _w, s in weighted],
+        prec,
+    )
 
 
 def psi_power_derivative(m: int, s: int) -> Rat:

@@ -20,6 +20,7 @@ from typing import Sequence
 from mpmath import mp
 
 from .exactalg import Poly, Rat, Scalar, format_rat, _as_rat
+from .numeric import Number, is_exact, to_mpf, working
 
 POLY = "poly"
 EXP = "exp"
@@ -28,13 +29,6 @@ SIN = "sin"
 
 class DerivativeCapExceeded(ValueError):
     """A derivative order beyond the declared smoothness cap was requested."""
-
-
-def to_mpf(value):
-    """Convert Rat/int/float/mpf to mpf at the ambient precision."""
-    if isinstance(value, Fraction):
-        return mp.mpf(value.numerator) / mp.mpf(value.denominator)
-    return mp.mpf(value)
 
 
 @dataclass(frozen=True)
@@ -100,12 +94,18 @@ class SmoothFunction:
             return Fraction(1) if k == 0 else Fraction(0)
         return None
 
+    def eval_number(self, t: Scalar, k: int, prec: int | None) -> Number:
+        """k-th derivative at t: exact when rational, else mpf at working precision."""
+        exact = self.eval_exact(t, k)
+        if exact is not None:
+            return exact
+        with working(prec):
+            return self.eval_mpf(t, k)
+
     def eval_mpf(self, t, k: int = 0):
         """k-th derivative at t, computed at the ambient mpmath precision."""
         self.require_order(k)
-        exact = None
-        if isinstance(t, (Fraction, int)):
-            exact = self.eval_exact(t, k)
+        exact = self.eval_exact(t, k) if is_exact(t) else None
         if exact is not None:
             return to_mpf(exact)
         tm = to_mpf(t)

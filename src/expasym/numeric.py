@@ -1,0 +1,101 @@
+"""Exact-or-float numbers.
+
+Every value the package computes is a ``Number``: an exact rational
+(``Fraction`` or ``int``) when every ingredient was rational, otherwise an
+mpf at the working precision.  This module owns that split: the working
+precision, coercion to it, arithmetic that stays exact when its inputs are,
+comparison with a rational bound, magnitudes and rendering.
+
+Precision: all floating work uses mpmath at a configurable bit count
+(default 256, minimum 64) plus GUARD_BITS; BigFloat is the mpf type.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable, Sequence, Union
+
+from mpmath import mp, mpf as BigFloat
+
+from .exactalg import Rat, format_rat
+
+DEFAULT_PRECISION_BITS = 256
+MIN_PRECISION_BITS = 64
+GUARD_BITS = 32
+
+Number = Union[Rat, BigFloat]
+
+
+def resolve_precision(prec: int | None) -> int:
+    bits = DEFAULT_PRECISION_BITS if prec is None else int(prec)
+    if bits < MIN_PRECISION_BITS:
+        raise ValueError(f"precision {bits} below minimum {MIN_PRECISION_BITS} bits")
+    return bits
+
+
+def working(prec: int | None):
+    """Precision context for evaluator internals (guard bits included)."""
+    return mp.workprec(resolve_precision(prec) + GUARD_BITS)
+
+
+def to_mpf(value):
+    """Convert Rat/int/float/mpf to mpf at the ambient precision."""
+    if isinstance(value, Fraction):
+        return mp.mpf(value.numerator) / mp.mpf(value.denominator)
+    return mp.mpf(value)
+
+
+def is_exact(value: Number) -> bool:
+    return isinstance(value, (Fraction, int))
+
+
+def to_working(value: Number) -> BigFloat:
+    """value as an mpf at the ambient precision; mpf values pass unrounded."""
+    return to_mpf(value) if is_exact(value) else value
+
+
+def combine(fn: Callable[..., Number], *values: Number, prec: int | None) -> Number:
+    """fn(*values) in exact arithmetic when every value is exact, else on
+    their to_working forms at the working precision."""
+    if all(is_exact(v) for v in values):
+        return fn(*(Fraction(v) for v in values))
+    with working(prec):
+        return fn(*(to_working(v) for v in values))
+
+
+def subtract(a: Number, b: Number, prec: int | None) -> Number:
+    return combine(lambda u, v: u - v, a, b, prec=prec)
+
+
+def dot(weights: Sequence[Rat], values: Sequence[Number], prec: int | None) -> Number:
+    """sum_i weights[i] * values[i], exact when every value is."""
+    k = len(weights)
+    return combine(
+        lambda *a: sum((w * v for w, v in zip(a[:k], a[k:])), Fraction(0)),
+        *weights, *values, prec=prec,
+    )
+
+
+def abs_le(value: Number, bound: Rat) -> bool:
+    """|value| <= bound, decided exactly: an mpf is a dyadic rational."""
+    if is_exact(value):
+        return abs(Fraction(value)) <= bound
+    if not mp.isfinite(value):
+        return False
+    man, exp = value.man_exp
+    dyadic = Fraction(man * 2**exp) if exp >= 0 else Fraction(man, 2**-exp)
+    return abs(dyadic) <= bound
+
+
+def magnitude(value: Number) -> BigFloat:
+    """|value| as an mpf at the ambient precision."""
+    return abs(to_working(value))
+
+
+def format_number(value: Number) -> str:
+    """Exact values as reduced rationals, mpf values to 24 digits."""
+    if is_exact(value):
+        return format_rat(Fraction(value))
+    if value == 0:
+        return "0"
+    return mp.nstr(value, 24)

@@ -27,9 +27,8 @@ is below a certified geometric bound, built from the weight ratios and
 the declared growth bound of f.  The window holds O(sqrt(n x)) terms, and
 the reported value is within tol of the infinite sum.
 
-Precision: all floating work uses mpmath at a configurable bit count
-(default 256, minimum 64); BigFloat is the mpf type.  Evaluators return
-exact Fractions whenever every ingredient is rational.
+Evaluators return exact Fractions whenever every ingredient is rational,
+else mpf values at the working precision of expasym.numeric.
 """
 
 from __future__ import annotations
@@ -38,19 +37,24 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Union
 
-from mpmath import mp, mpf as BigFloat
+from mpmath import mp
 
 from .exactalg import MomentPoly, Poly, Rat, RatFuncN, Scalar, _as_rat, format_rat
-from .functions import SmoothFunction, to_mpf
+from .functions import SmoothFunction
+from .numeric import (  # noqa: F401  precision names re-exported for callers
+    DEFAULT_PRECISION_BITS,
+    GUARD_BITS,
+    MIN_PRECISION_BITS,
+    BigFloat,
+    Number,
+    dot,
+    resolve_precision,
+    to_mpf,
+    working,
+)
 
-DEFAULT_PRECISION_BITS = 256
-MIN_PRECISION_BITS = 64
-GUARD_BITS = 32
 DEFAULT_TOL = Fraction(1, 10**30)
-
-Number = Union[Rat, BigFloat]
 
 
 class DerivativeOrderExceedsDegree(ValueError):
@@ -63,18 +67,6 @@ class GrowthBoundViolated(ValueError):
 
 class QuadratureNotConverged(ArithmeticError):
     """Doubling the quadrature order moved the result beyond tolerance."""
-
-
-def resolve_precision(prec: int | None) -> int:
-    bits = DEFAULT_PRECISION_BITS if prec is None else int(prec)
-    if bits < MIN_PRECISION_BITS:
-        raise ValueError(f"precision {bits} below minimum {MIN_PRECISION_BITS} bits")
-    return bits
-
-
-def working(prec: int | None):
-    """Precision context for evaluator internals (guard bits included)."""
-    return mp.workprec(resolve_precision(prec) + GUARD_BITS)
 
 
 @dataclass(frozen=True)
@@ -171,7 +163,8 @@ class OperatorFamily:
     lambda_n is the index sequence of the defining derivative identity
     (S_n f)'(x) = (lambda_n/phi(x)) ((S_n(psi_x f))(x) - mu1(x)(S_n f)(x));
     the built-ins all have lambda_n = n and mu1 = 0.  evaluator names the
-    direct rule in _EVALUATORS, or is None for purely symbolic families."""
+    direct rule operator_eval calls, or is None for purely symbolic
+    families."""
 
     id: str
     interval: Interval
@@ -281,16 +274,8 @@ def forward_difference(f: SmoothFunction, t0: Scalar, h: Scalar, r: int, prec: i
     if r < 0:
         raise ValueError("difference order must be >= 0")
     t0, h = _as_rat(t0), _as_rat(h)
-    exact = [f.eval_exact(t0 + i * h) for i in range(r + 1)]
-    if all(v is not None for v in exact):
-        return sum(
-            (-1) ** (r - i) * math.comb(r, i) * exact[i] for i in range(r + 1)
-        )
-    with working(prec):
-        values = [f.eval_mpf(t0 + i * h) for i in range(r + 1)]
-        return sum(
-            (-1) ** (r - i) * math.comb(r, i) * values[i] for i in range(r + 1)
-        )
+    values = [f.eval_number(t0 + i * h, 0, prec) for i in range(r + 1)]
+    return dot(_difference_signs(r), values, prec)
 
 
 def _difference_signs(r: int) -> list[int]:
@@ -667,30 +652,6 @@ def get_family(family_id: str) -> OperatorFamily:
         raise ValueError(f"unknown family {family_id!r} (known: {known})") from None
 
 
-def _eval_bernstein(f, n, x, r, tol, prec, quad_order):
-    return bernstein_eval(f, n, x, r, prec=prec)
-
-
-def _eval_szasz(f, n, x, r, tol, prec, quad_order):
-    return szasz_eval(f, n, x, r, tol=tol, prec=prec)
-
-
-def _eval_baskakov(f, n, x, r, tol, prec, quad_order):
-    return baskakov_eval(f, n, x, r, tol=tol, prec=prec)
-
-
-def _eval_gauss(f, n, x, r, tol, prec, quad_order):
-    return gauss_weierstrass_eval(f, n, x, r, quad_order=quad_order, tol=tol, prec=prec)
-
-
-_EVALUATORS = {
-    "bernstein": _eval_bernstein,
-    "szasz": _eval_szasz,
-    "baskakov": _eval_baskakov,
-    "gauss": _eval_gauss,
-}
-
-
 def operator_eval(
     family: OperatorFamily,
     f: SmoothFunction,
@@ -705,7 +666,15 @@ def operator_eval(
     if family.evaluator is None:
         raise ValueError(f"family {family.id!r} has no direct evaluator")
     family.require_point(_as_rat(x))
-    return _EVALUATORS[family.evaluator](f, n, x, r, tol, prec, quad_order)
+    # module globals, not a table of function objects, so that rebinding a
+    # module attribute (as perfbench/tracer.py does) reaches these calls
+    if family.evaluator == "bernstein":
+        return bernstein_eval(f, n, x, r, prec=prec)
+    if family.evaluator == "szasz":
+        return szasz_eval(f, n, x, r, tol=tol, prec=prec)
+    if family.evaluator == "baskakov":
+        return baskakov_eval(f, n, x, r, tol=tol, prec=prec)
+    return gauss_weierstrass_eval(f, n, x, r, quad_order=quad_order, tol=tol, prec=prec)
 
 
 def central_moment_direct(

@@ -15,7 +15,9 @@ Turns asymptotic statements into measurable pass/fail artifacts:
 
 Exact zeros (polynomial cases) never enter a log fit; residuals below the
 evaluator noise floor are classified as exact, since fitting them would
-measure rounding noise, not truncation order.
+measure rounding noise, not truncation order.  Every exact-or-float
+decision (subtraction, comparison, magnitude, rendering) is made by
+expasym.numeric.
 """
 
 from __future__ import annotations
@@ -29,16 +31,18 @@ from mpmath import mp
 
 from .exactalg import MomentPoly, Poly, Rat, Scalar, _as_rat, format_rat
 from .expansion import evaluate_derivative_expansion, voronovskaja_limit
-from .functions import SmoothFunction, to_mpf
+from .functions import SmoothFunction
 from .moments import central_moments
-from .operators import (
-    DEFAULT_TOL,
+from .numeric import (
     Number,
-    OperatorFamily,
-    operator_eval,
+    abs_le,
+    combine,
+    format_number,
+    magnitude,
     resolve_precision,
-    working,
+    subtract,
 )
+from .operators import DEFAULT_TOL, OperatorFamily, operator_eval
 
 RATIO_BAND = (0.35, 0.65)
 SLOPE_SLACK = 0.75
@@ -55,30 +59,6 @@ class GridNotDyadic(ValueError):
 
 class PhiVanishes(ValueError):
     """The identity being checked divides by phi(x)."""
-
-
-def _format_number(value: Number) -> str:
-    if isinstance(value, (Fraction, int)):
-        return format_rat(Fraction(value))
-    if value == 0:
-        return "0"
-    return mp.nstr(value, 24)
-
-
-def _abs_le(value: Number, bound: Rat) -> bool:
-    if isinstance(value, (Fraction, int)):
-        return abs(Fraction(value)) <= bound
-    with mp.workprec(mp.prec + 8):
-        return abs(value) <= to_mpf(bound)
-
-
-def _subtract(a: Number, b: Number, prec: int | None) -> Number:
-    if isinstance(a, (Fraction, int)) and isinstance(b, (Fraction, int)):
-        return Fraction(a) - Fraction(b)
-    with working(prec):
-        am = a if not isinstance(a, (Fraction, int)) else to_mpf(Fraction(a))
-        bm = b if not isinstance(b, (Fraction, int)) else to_mpf(Fraction(b))
-        return am - bm
 
 
 @dataclass(frozen=True)
@@ -107,9 +87,9 @@ class ConvergenceReport:
             "r": self.r,
             "q": self.q,
             "grid": list(self.grid),
-            "values": [_format_number(v) for v in self.values],
-            "predictions": [_format_number(v) for v in self.predictions],
-            "residuals": [_format_number(v) for v in self.residuals],
+            "values": [format_number(v) for v in self.values],
+            "predictions": [format_number(v) for v in self.predictions],
+            "residuals": [format_number(v) for v in self.residuals],
             "fitted_order": self.fitted_order,
             "r_squared": self.r_squared,
             "ratio_track": list(self.ratio_track),
@@ -123,9 +103,9 @@ class ConvergenceReport:
             if i >= 1 and self.ratio_track[i - 1] is not None:
                 ratio = repr(self.ratio_track[i - 1])
             lines.append(
-                f"{n},{_format_number(self.values[i])},"
-                f"{_format_number(self.predictions[i])},"
-                f"{_format_number(self.residuals[i])},{ratio}"
+                f"{n},{format_number(self.values[i])},"
+                f"{format_number(self.predictions[i])},"
+                f"{format_number(self.residuals[i])},{ratio}"
             )
         return "\n".join(lines) + "\n"
 
@@ -136,7 +116,7 @@ class ConvergenceReport:
         ]
         for i, n in enumerate(self.grid):
             lines.append(
-                f"  n={n}  residual={_format_number(self.residuals[i])}"
+                f"  n={n}  residual={format_number(self.residuals[i])}"
             )
         order = "exact" if self.fitted_order is None else f"{self.fitted_order:.4f}"
         rsq = "-" if self.r_squared is None else f"{self.r_squared:.6f}"
@@ -158,10 +138,9 @@ def fit_order(
     points = []
     with mp.workprec(64):
         for n, res in zip(grid, residuals):
-            if _abs_le(res, floor):
+            if abs_le(res, floor):
                 continue
-            mag = abs(to_mpf(res)) if isinstance(res, (Fraction, int)) else abs(res)
-            points.append((math.log(n), float(mp.log(mag))))
+            points.append((math.log(n), float(mp.log(magnitude(res)))))
     if not points:
         raise AllResidualsZero("all residuals at or below the floor")
     if len(points) < 3:
@@ -204,12 +183,10 @@ def _ratio_track(
     track: list[float | None] = []
     with mp.workprec(64):
         for a, b in zip(residuals, residuals[1:]):
-            if _abs_le(a, floor) or _abs_le(b, floor):
+            if abs_le(a, floor) or abs_le(b, floor):
                 track.append(None)
                 continue
-            am = abs(to_mpf(a)) if isinstance(a, (Fraction, int)) else abs(a)
-            bm = abs(to_mpf(b)) if isinstance(b, (Fraction, int)) else abs(b)
-            track.append(float(bm / am))
+            track.append(float(magnitude(b) / magnitude(a)))
     return tuple(track)
 
 
@@ -243,7 +220,7 @@ def residual_study(
         prediction = evaluate_derivative_expansion(family, f, x, n, q, r, prec=prec)
         values.append(value)
         predictions.append(prediction)
-        residuals.append(_subtract(value, prediction, prec))
+        residuals.append(subtract(value, prediction, prec))
     floor = _noise_floor(family, tol, prec)
     try:
         slope, r_squared = fit_order(grid, residuals, floor=floor)
@@ -269,6 +246,29 @@ def residual_study(
     )
 
 
+def scaled_defects(
+    family: OperatorFamily,
+    f: SmoothFunction,
+    x: Scalar,
+    r: int,
+    grid: Sequence[int],
+    tol: Rat,
+    prec: int | None,
+    quad_order: int,
+) -> list[Number]:
+    """n[(S_n f)^{(r)}(x) - f^{(r)}(x)] for each n in grid; exact when the
+    operator values and f^{(r)}(x) are."""
+    x = _as_rat(x)
+    target = f.eval_number(x, r, prec)
+    out = []
+    for n in grid:
+        value = operator_eval(
+            family, f, n, x, r, tol=tol, prec=prec, quad_order=quad_order
+        )
+        out.append(combine(lambda v, t: n * (v - t), value, target, prec=prec))
+    return out
+
+
 def voronovskaja_study(
     family: OperatorFamily,
     f: SmoothFunction,
@@ -287,36 +287,15 @@ def voronovskaja_study(
     family.require_point(x, interior=True)
     grid = _validate_grid(grid)
     limit = voronovskaja_limit(family, f, x, r, prec=prec)
-    exact_deriv = f.eval_exact(x, r)
-    values = []
-    residuals = []
-    for n in grid:
-        op = operator_eval(
-            family, f, n, x, r, tol=tol, prec=prec, quad_order=quad_order
-        )
-        if exact_deriv is not None:
-            diff = _subtract(op, exact_deriv, prec)
-        else:
-            with working(prec):
-                diff = _subtract(op, f.eval_mpf(x, r), prec)
-        if isinstance(diff, Fraction):
-            scaled: Number = n * diff
-        else:
-            with working(prec):
-                scaled = n * diff
-        values.append(scaled)
-        residuals.append(_subtract(scaled, limit, prec))
+    values = scaled_defects(family, f, x, r, grid, tol, prec, quad_order)
+    residuals = [subtract(d, limit, prec) for d in values]
     floor = 16 * tol * max(grid)
     track = _ratio_track(residuals, floor)
-    if all(_abs_le(d, floor) for d in residuals):
+    if all(abs_le(d, floor) for d in residuals):
         passed = True
     else:
-        magnitudes = []
         with mp.workprec(64):
-            for d in residuals:
-                magnitudes.append(
-                    abs(to_mpf(d)) if isinstance(d, (Fraction, int)) else abs(d)
-                )
+            magnitudes = [magnitude(d) for d in residuals]
         decreasing = all(b < a for a, b in zip(magnitudes, magnitudes[1:]))
         upper = track[len(track) // 2 :]
         in_band = all(
@@ -386,12 +365,11 @@ def ode_identity_check(
     s_psi = operator_eval(
         family, SmoothFunction.polynomial(Poly((-x, Fraction(1)))), n, x, 0, **kwargs
     )
-    lam = family.lambda_n.eval(n)
-    scale = lam / family.phi(x)
-    if all(isinstance(v, (Fraction, int)) for v in (lhs, s_f, s_psi_f, s_psi)):
-        return lhs - scale * (s_psi_f - s_psi * s_f)
-    with working(prec):
-        return lhs - to_mpf(scale) * (s_psi_f - s_psi * s_f)
+    scale = family.lambda_n.eval(n) / family.phi(x)
+    return combine(
+        lambda lhs, scale, s_psi_f, s_psi, s_f: lhs - scale * (s_psi_f - s_psi * s_f),
+        lhs, scale, s_psi_f, s_psi, s_f, prec=prec,
+    )
 
 
 def psi_m_derivative_identity_check(
@@ -435,12 +413,13 @@ def psi_m_derivative_identity_check(
     s_psi = operator_eval(
         family, SmoothFunction.polynomial(Poly((-x, Fraction(1)))), n, x, 0, **kwargs
     )
-    lam = family.lambda_n.eval(n)
-    scale = lam / family.phi(x)
-    if all(isinstance(v, (Fraction, int)) for v in (s_up, s_down, s_f, s_psi)):
-        return lhs - (scale * (s_up - s_psi * s_f) - m * s_down)
-    with working(prec):
-        return to_mpf(lhs) - (to_mpf(scale) * (s_up - s_psi * s_f) - m * s_down)
+    scale = family.lambda_n.eval(n) / family.phi(x)
+    return combine(
+        lambda lhs, scale, s_up, s_psi, s_f, s_down: (
+            lhs - (scale * (s_up - s_psi * s_f) - m * s_down)
+        ),
+        lhs, scale, s_up, s_psi, s_f, s_down, prec=prec,
+    )
 
 
 def richardson(
@@ -467,22 +446,8 @@ def richardson(
     for p in orders:
         weight = 2 ** int(p)
         row = levels[-1]
-        if all(isinstance(v, (Fraction, int)) for v in row):
-            nxt = [
-                Fraction(weight * Fraction(b) - Fraction(a), weight - 1)
-                for a, b in zip(row, row[1:])
-            ]
-        else:
-            with working(prec):
-                nxt = [
-                    (weight * _to_working(b) - _to_working(a)) / (weight - 1)
-                    for a, b in zip(row, row[1:])
-                ]
-        levels.append(nxt)
+        levels.append([
+            combine(lambda a, b: (weight * b - a) / (weight - 1), a, b, prec=prec)
+            for a, b in zip(row, row[1:])
+        ])
     return levels
-
-
-def _to_working(value: Number):
-    if isinstance(value, (Fraction, int)):
-        return to_mpf(Fraction(value))
-    return value

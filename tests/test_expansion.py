@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from expasym.exactalg import Poly
+from expasym.exactalg import MomentPoly, Poly
 from expasym.expansion import (
     NotPureExponentialIndex,
     complete_coeffs,
@@ -57,9 +57,20 @@ class TestCompleteCoeffs:
                 for s in coeff.orders():
                     assert k <= s <= 2 * k
 
-    def test_shifted_index_rejected(self):
+    @pytest.mark.parametrize(
+        "family",
+        [
+            synthetic_family(),
+            # lambda_n = n but mu_1 = 1/2: a_0 is the whole series f(x + 1/2)
+            make_family(
+                "s", Interval(F(0), None), Poly((0, 1)), mu1=MomentPoly.const(F(1, 2))
+            ),
+        ],
+        ids=["shifted_index", "constant_mu1"],
+    )
+    def test_non_pure_family_rejected(self, family):
         with pytest.raises(NotPureExponentialIndex):
-            complete_coeffs(synthetic_family(), 1)
+            complete_coeffs(family, 1)
 
     def test_negative_q_rejected(self):
         with pytest.raises(ValueError):
