@@ -2,9 +2,9 @@
 
 Each case runs in-process through ``cli.main`` in every output format and
 must reproduce ``tests/golden/<case>.<format>`` exactly, with the recorded
-exit status.  The cases are the README commands plus three float-heavy
+exit status.  The cases are the README commands, three float-heavy
 runs (a series identity defect, a quadrature value and a sinusoid
-limit-defect study), so a change to number formatting, precision handling
+limit-defect study) and one large-n exact Bernstein sum, so a change to number formatting, precision handling
 or summation order shows up here as a diff.
 """
 
@@ -53,6 +53,11 @@ CASES = {
     "voronovskaja_szasz_sin": (
         ["voronovskaja", "--family", "szasz", "--f", "sin:1,0", "--x", "1",
          "--r", "1", "--grid", "64:4"],
+        0,
+    ),
+    "evaluate_bernstein_poly_large_n": (
+        ["evaluate", "--family", "bernstein", "--f", "poly:1/8,-3/4,5/8,-1/2,3/8",
+         "--x", "7/16", "--n", "4096", "--r", "2"],
         0,
     ),
 }
