@@ -8,7 +8,8 @@ Three views of the same Taylor-plus-moments bookkeeping:
                        required, since only then is each mu_{n,s} a finite
                        Laurent series): a_k(x) = sum_s f^{(s)} g_{s,k}/s!;
   derivative_terms     d^r/dx^r of the truncated sum via the Leibniz rule,
-                       one term per surviving (source order, Leibniz split).
+                       one term per surviving (source order, Leibniz split),
+                       memoised per (family, q, r).
 
 voronovskaja_limit is the r-times differentiated second-order limit
 lim n [(S_n f)^{(r)} - f^{(r)}] = (phi f'')^{(r)} / 2, valid for families
@@ -22,6 +23,7 @@ expasym.numeric.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -134,28 +136,36 @@ def complete_coeffs(family: OperatorFamily, q: int) -> list[ExpansionCoefficient
     return out
 
 
+# family -> (q, r) -> Leibniz terms; an entry goes when its family does
+_TERMS: "weakref.WeakKeyDictionary[OperatorFamily, dict]" = weakref.WeakKeyDictionary()
+
+
 def derivative_terms(
     family: OperatorFamily, q: int, r: int
 ) -> list[ExpansionTerm]:
     """All Leibniz terms of (d/dx)^r sum_{s<=2q} mu_{n,s} f^{(s)}/s!,
-    ordered by (s_source, i), identically-zero coefficients dropped."""
+    ordered by (s_source, i), identically-zero coefficients dropped.
+
+    Memoised per (family, q, r); each call returns a fresh list."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if r < 0:
         raise ValueError("r must be >= 0")
-    table = central_moments(family, 2 * q)
-    out = []
-    for s_source in range(2 * q + 1):
-        base = table.moment(s_source) * Fraction(1, math.factorial(s_source))
-        current = base
-        for i in range(r + 1):
-            coefficient = current * math.comb(r, i)
-            if not coefficient.is_zero:
-                out.append(
-                    ExpansionTerm(s_source, i, s_source + r - i, coefficient)
-                )
-            current = current.dx()
-    return out
+    known = _TERMS.setdefault(family, {})
+    if (q, r) not in known:
+        table = central_moments(family, 2 * q)
+        out = []
+        for s_source in range(2 * q + 1):
+            current = table.moment(s_source) * Fraction(1, math.factorial(s_source))
+            for i in range(r + 1):
+                coefficient = current * math.comb(r, i)
+                if not coefficient.is_zero:
+                    out.append(
+                        ExpansionTerm(s_source, i, s_source + r - i, coefficient)
+                    )
+                current = current.dx()
+        known[(q, r)] = tuple(out)
+    return list(known[(q, r)])
 
 
 def evaluate_derivative_expansion(

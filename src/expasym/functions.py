@@ -74,11 +74,20 @@ class SmoothFunction:
     def is_polynomial(self) -> bool:
         return self.kind == POLY
 
+    def as_poly(self) -> Poly | None:
+        """The polynomial f equals, or None: poly gives its own, exp:0 the
+        constant 1.  eval_exact and the exact Bernstein sum key on this."""
+        if self.kind == POLY:
+            return self.poly
+        if self.kind == EXP and self.a == 0:
+            return Poly.const(1)
+        return None
+
     def derivative_poly(self, k: int = 0) -> Poly:
-        if self.kind != POLY:
+        p = self.as_poly()
+        if p is None:
             raise ValueError("closed-form polynomial requested of a non-polynomial")
         self.require_order(k)
-        p = self.poly
         for _ in range(k):
             p = p.derivative()
         return p
@@ -88,11 +97,9 @@ class SmoothFunction:
         value is irrational."""
         self.require_order(k)
         t = _as_rat(t)
-        if self.kind == POLY:
-            return self.derivative_poly(k)(t)
-        if self.kind == EXP and self.a == 0:
-            return Fraction(1) if k == 0 else Fraction(0)
-        return None
+        if self.as_poly() is None:
+            return None
+        return self.derivative_poly(k)(t)
 
     def eval_number(self, t: Scalar, k: int, prec: int | None) -> Number:
         """k-th derivative at t: exact when rational, else mpf at working precision."""

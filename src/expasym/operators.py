@@ -9,7 +9,8 @@ Families and rules:
 * bernstein on [0, 1], phi = x(1-x):
       (B_n f)^{(r)}(x) = n!/(n-r)! * sum_{k=0}^{n-r} Delta^r_{1/n} f(k/n)
                          * C(n-r,k) x^k (1-x)^{n-r-k}
-  evaluated exactly over the rationals for polynomial f and rational x.
+  evaluated exactly for polynomial f and rational x, as one integer sum
+  over the common denominator with a single reduction at the end.
 * szasz on [0, oo), phi = x:
       (S_n f)^{(r)}(x) = n^r e^{-nx} sum_k (nx)^k/k! * Delta^r_{1/n} f(k/n)
 * baskakov on [0, oo), phi = x(1+x):
@@ -289,7 +290,8 @@ def bernstein_eval(
     r: int = 0,
     prec: int | None = None,
 ) -> Number:
-    """(B_n f)^{(r)}(x); exact rational for polynomial f at rational x."""
+    """(B_n f)^{(r)}(x); exact rational when f equals a polynomial
+    (SmoothFunction.as_poly) and x is rational."""
     x = _as_rat(x)
     if r < 0:
         raise ValueError("derivative order must be >= 0")
@@ -306,18 +308,9 @@ def bernstein_eval(
         return perm * forward_difference(f, Fraction(0), h, r, prec)
     if x == 1:
         return perm * forward_difference(f, Fraction(m, n), h, r, prec)
-    if f.is_polynomial:
-        values = [f.poly(Fraction(k, n)) for k in range(n + 1)]
-        for _ in range(r):
-            values = [values[k + 1] - values[k] for k in range(len(values) - 1)]
-        basis = (1 - x) ** m
-        step = x / (1 - x)
-        total = Fraction(0)
-        for k in range(m + 1):
-            total += basis * values[k]
-            if k < m:
-                basis = basis * Fraction(m - k, k + 1) * step
-        return perm * total
+    poly = f.as_poly()
+    if poly is not None:
+        return perm * _bernstein_integer_sum(poly, n, r, x)
     with working(prec):
         signs = _difference_signs(r)
         values = list(islice(f.values_iter(h), n + 1))
@@ -330,6 +323,41 @@ def bernstein_eval(
             if k < m:
                 basis = basis * (m - k) / (k + 1) * step
         return perm * total
+
+
+def _bernstein_integer_sum(p: Poly, n: int, r: int, x: Rat) -> Fraction:
+    """sum_{k<=m} C(m,k) x^k (1-x)^(m-k) Delta^r_{1/n} p(k/n), m = n - r,
+    for 0 < x < 1, summed over Python ints and reduced once at the end.
+
+    With x = a/b, D the lcm of p's coefficient denominators and d = deg p,
+    g(k) = D n^d p(k/n) is an integer polynomial in k, evaluated by Horner
+    and differenced r times.  The weights c_k = C(m,k) a^k (b-a)^(m-k) step
+    by c_{k+1} = c_k (m-k) a / ((k+1)(b-a)), a division that is exact, and
+    the result is sum_k c_k Delta^r g(k) / (b^m D n^d)."""
+    a, b = x.numerator, x.denominator
+    degree = max(p.degree, 0)
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    coeffs = [
+        c.numerator * (scale // c.denominator) * n ** (degree - j)
+        for j, c in enumerate(p.coeffs)
+    ]
+    coeffs.reverse()
+    values = []
+    for k in range(n + 1):
+        acc = 0
+        for c in coeffs:
+            acc = acc * k + c
+        values.append(acc)
+    for _ in range(r):
+        values = [v - u for u, v in zip(values, values[1:])]
+    m = n - r
+    rest = b - a
+    weight = rest**m
+    total = 0
+    for k, value in enumerate(values):
+        total += weight * value
+        weight = weight * (m - k) * a // ((k + 1) * rest)  # 0 after k = m
+    return Fraction(total, b**m * scale * n**degree)
 
 
 def _series_eval(

@@ -59,6 +59,16 @@ class TestEvaluate:
         assert proc.returncode == 0
         assert proc.stdout == "5/16\n"
 
+    def test_constant_exponential_prints_exact(self):
+        # exp:0 is the constant 1, so the direct sum is exact like the expansion side
+        for side in ([], ["--side", "expansion", "--q", "2"]):
+            proc = run_cli(
+                "evaluate", "--family", "bernstein", "--f", "exp:0",
+                "--x", "1/2", "--n", "64", *side,
+            )
+            assert proc.returncode == 0
+            assert proc.stdout == "1\n"
+
     def test_json_carries_settings(self):
         proc = run_cli(
             "evaluate", "--family", "bernstein", "--f", "poly:0,0,1",

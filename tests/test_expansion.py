@@ -1,11 +1,13 @@
 from fractions import Fraction as F
 
+import gc
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from expasym import expansion
 from expasym.exactalg import MomentPoly, Poly
 from expasym.expansion import (
     NotPureExponentialIndex,
@@ -162,6 +164,34 @@ class TestDerivativeTerms:
         for _ in range(r):
             symbolic = symbolic.derivative()
         assert evaluate_derivative_expansion(family, f, x, n, q, r) == symbolic(x)
+
+
+class TestDerivativeTermsMemo:
+    def test_repeated_calls_equal_but_fresh(self):
+        first = derivative_terms(BASKAKOV, 2, 1)
+        second = derivative_terms(BASKAKOV, 2, 1)
+        assert first == second
+        assert first is not second
+
+    def test_mutation_does_not_leak(self):
+        terms = derivative_terms(SZASZ, 2, 2)
+        want = list(terms)
+        terms.clear()
+        assert derivative_terms(SZASZ, 2, 2) == want
+
+    def test_distinct_keys_distinct_terms(self):
+        assert derivative_terms(BERNSTEIN, 1, 1) != derivative_terms(BERNSTEIN, 2, 1)
+        assert derivative_terms(BERNSTEIN, 2, 1) != derivative_terms(BERNSTEIN, 2, 2)
+
+    def test_dropped_family_leaves_no_entry(self):
+        gc.collect()
+        before = len(expansion._TERMS)
+        family = make_family("transient", Interval(F(0), F(1)), Poly((0, 1, -1)))
+        derivative_terms(family, 1, 1)
+        assert len(expansion._TERMS) == before + 1
+        del family
+        gc.collect()
+        assert len(expansion._TERMS) == before
 
 
 class TestVoronovskajaLimit:

@@ -61,6 +61,12 @@ class TestExactEvaluation:
         assert f.eval_exact(F(7, 3), 0) == 1
         assert f.eval_exact(F(7, 3), 5) == 0
 
+    def test_as_poly(self):
+        assert SmoothFunction.polynomial([1, 0, 2]).as_poly() == Poly((1, 0, 2))
+        assert SmoothFunction.exponential(0).as_poly() == Poly.const(1)
+        assert SmoothFunction.exponential(1).as_poly() is None
+        assert SmoothFunction.sinusoid(1, 0).as_poly() is None
+
 
 class TestMpfEvaluation:
     def test_exp_derivative_scaling(self):

@@ -68,6 +68,34 @@ class TestForwardDifference:
             assert abs(got - want) < mp.mpf(2) ** -150
 
 
+def _stirling2_row(j):
+    """S(j, 0..j), Stirling numbers of the second kind."""
+    row = [1]
+    for _ in range(j):
+        nxt = [0] * (len(row) + 1)
+        for i, value in enumerate(row):
+            nxt[i] += i * value
+            nxt[i + 1] += value
+        row = nxt
+    return row
+
+
+def _bernstein_closed_form(coeffs, n, x, r):
+    """(B_n f)^{(r)}(x) from B_n t^j = sum_i S(j,i) (n)_i x^i / n^j, the
+    image as a polynomial in x differentiated r times, without any sum
+    over the binomial weights."""
+    image = [F(0)] * len(coeffs)
+    for j, c in enumerate(coeffs):
+        for i, stirling in enumerate(_stirling2_row(j)):
+            image[i] += c * stirling * math.perm(n, i) / F(n**j)
+    for _ in range(r):
+        image = [i * c for i, c in enumerate(image)][1:]
+    value = F(0)
+    for c in reversed(image):
+        value = value * x + c
+    return value
+
+
 class TestBernstein:
     def test_e2_frozen_value(self):
         assert bernstein_eval(E2, 2, F(1, 2)) == F(3, 8)
@@ -126,6 +154,38 @@ class TestBernstein:
                 w = math.comb(n, k) * x**k * (1 - x) ** (n - k)
                 want += to_mpf(w) * mp.sin(mp.mpf(k) / n)
             assert abs(got - want) < mp.mpf(2) ** -230
+
+    # the exact integer sum against the Stirling-number closed form of B_n
+    QUARTIC = [F(1, 8), F(-3, 4), F(5, 8), F(-1, 2), F(3, 8)]
+
+    @pytest.mark.parametrize("x", [F(7, 16), F(5, 41)])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_quartic_at_large_n(self, x, r):
+        n = 4096
+        got = bernstein_eval(SmoothFunction.polynomial(self.QUARTIC), n, x, r)
+        assert isinstance(got, F)
+        assert got == _bernstein_closed_form(self.QUARTIC, n, x, r)
+
+    @pytest.mark.parametrize(
+        "coeffs, n, x, r",
+        [
+            ([0], 9, F(2, 7), 0),  # zero polynomial
+            ([0], 9, F(2, 7), 3),
+            ([F(5, 3)], 7, F(3, 11), 0),  # constant
+            ([F(5, 3)], 7, F(3, 11), 2),
+            ([1, -2, F(1, 3), 0, 4, F(-7, 5), 2, 1], 3, F(4, 9), 1),  # degree > n
+            ([F(1, 2), 3, -1, F(2, 9), 1, 0, -5], 5, F(1, 3), 5),  # r = n
+            ([F(2, 3), -1, F(1, 7), 5], 50, F(10**31 + 7, 3 * 10**31 + 11), 2),
+        ],
+    )
+    def test_edge_cases(self, coeffs, n, x, r):
+        got = bernstein_eval(SmoothFunction.polynomial(coeffs), n, x, r)
+        assert got == _bernstein_closed_form(coeffs, n, x, r)
+
+    def test_constant_exponential_is_exact(self):
+        got = bernstein_eval(SmoothFunction.exponential(0), 64, F(1, 2))
+        assert isinstance(got, F) and got == 1
+        assert bernstein_eval(SmoothFunction.exponential(0), 64, F(1, 3), 2) == 0
 
 
 class TestSzasz:
