@@ -4,8 +4,9 @@ Each case runs in-process through ``cli.main`` in every output format and
 must reproduce ``tests/golden/<case>.<format>`` exactly, with the recorded
 exit status.  The cases are the README commands, three float-heavy
 runs (a series identity defect, a quadrature value and a sinusoid
-limit-defect study) and one large-n exact Bernstein sum, so a change to number formatting, precision handling
-or summation order shows up here as a diff.
+limit-defect study), one large-n exact Bernstein sum and one deeper moment
+table, so a change to number formatting, precision handling, summation
+order or moment-table normalisation shows up here as a diff.
 """
 
 from pathlib import Path
@@ -20,6 +21,7 @@ FORMATS = ("text", "json", "csv")
 # case name -> (argv, exit status)
 CASES = {
     "moments_bernstein": (["moments", "--family", "bernstein", "--s-max", "4"], 0),
+    "moments_baskakov_s12": (["moments", "--family", "baskakov", "--s-max", "12"], 0),
     "evaluate_szasz_poly": (
         ["evaluate", "--family", "szasz", "--f", "poly:0,0,1", "--x", "1", "--n", "10"],
         0,
