@@ -43,7 +43,8 @@ class DenominatorZero(ArithmeticError):
 
 
 def _as_rat(value: Scalar) -> Rat:
-    if isinstance(value, Fraction):
+    # the exact type test first: isinstance against the numbers ABCs is slow
+    if type(value) is Fraction or isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
@@ -286,6 +287,15 @@ class RatFuncN:
         object.__setattr__(self, "den", den)
 
     @classmethod
+    def _trusted(cls, num: Poly, den: Poly) -> RatFuncN:
+        """num/den that the caller knows to be normalised already (coprime,
+        den monic, den = 1 when num = 0): stored without taking a gcd."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
+
+    @classmethod
     def const(cls, value: Scalar) -> RatFuncN:
         return cls(Poly.const(value), Poly.const(1))
 
@@ -450,17 +460,30 @@ class MomentPoly:
             return MomentPoly(tuple(out))
         if isinstance(other, Poly):
             return self * MomentPoly.from_poly(other)
+        if isinstance(other, (Fraction, int)):
+            # a nonzero rational on each numerator keeps it coprime to its
+            # monic denominator, so no gcd is taken
+            if other == 0:
+                return MomentPoly()
+            factor = _as_rat(other)
+            return MomentPoly(
+                tuple(
+                    (p, RatFuncN._trusted(c.num * factor, c.den))
+                    for p, c in self.terms
+                )
+            )
         factor = _as_ratfunc(other)
         return MomentPoly(tuple((p, c * factor) for p, c in self.terms))
 
     __rmul__ = __mul__
 
-    def scale(self, factor: RatFuncN | Scalar) -> MomentPoly:
-        return self * _as_ratfunc(factor)
-
     def dx(self) -> MomentPoly:
         return MomentPoly(
-            tuple((p - 1, c * p) for p, c in self.terms if p >= 1)
+            tuple(
+                (p - 1, RatFuncN._trusted(c.num * p, c.den))
+                for p, c in self.terms
+                if p >= 1
+            )
         )
 
     def eval(self, n: Scalar, x: Scalar) -> Rat:
@@ -555,13 +578,18 @@ def laurent_at_infinity(r: RatFuncN, J: int) -> LaurentSeries:
     if lead > J:
         return LaurentSeries(0, (), J)
     # num(1/u) * u^deg and den(1/u) * u^deg have nonzero constant terms.
+    # Only the nonzero coefficients of the reversed denominator enter the
+    # division, so den = d*n^t makes each output a scaled input.
     num_rev = list(reversed(r.num.coeffs))
     den_rev = list(reversed(r.den.coeffs))
+    den_terms = [(i, c) for i, c in enumerate(den_rev) if i and c]
     length = J - lead + 1
     out: list[Rat] = []
     for k in range(length):
         value = num_rev[k] if k < len(num_rev) else Fraction(0)
-        for i in range(1, min(k, len(den_rev) - 1) + 1):
-            value -= den_rev[i] * out[k - i]
+        for i, c in den_terms:
+            if i > k:
+                break
+            value -= c * out[k - i]
         out.append(value / den_rev[0])
     return LaurentSeries(lead, tuple(out), J)

@@ -8,10 +8,17 @@ derivative identity has index sequence lambda_n:
     mu_{n,s+1} = mu_{n,1} * mu_{n,s}
                  + (phi / lambda_n) * (s * mu_{n,s-1} + d/dx mu_{n,s})
 
-Everything stays inside MomentPoly arithmetic, so the table is exact.  For
-lambda_n = n the expansion of mu_{n,s} in powers of 1/n is finite with
-polynomial coefficients g_{s,j} (moment_expansion), the deepest coefficient
-has the closed form
+The recursion runs over integers (_Recursion): mu_{n,s} is kept as an
+integer polynomial N_s(n, x) over the known denominator k^s E(n)^s, where
+E collects lambda_n's numerator and mu_1's denominators, so no step takes
+a gcd and the table is exact.  Each entry is normalised once, when it is
+first built as a MomentPoly: for E = d n^t (every built-in and every
+c*phi family) by stripping the common power of n and dividing by d^s,
+otherwise by one RatFuncN reduction per coefficient.
+
+For lambda_n = n the expansion of mu_{n,s} in powers of 1/n is finite
+with polynomial coefficients g_{s,j} (moment_expansion), the deepest
+coefficient has the closed form
 
     g_{2s,2s}   = (2s)!/(2^s s!) * phi^s
     g_{2s+1,2s+1} = s (2s+1)!/(3 * 2^s s!) * phi^s * phi'
@@ -33,6 +40,7 @@ from .exactalg import (
     Poly,
     RatFuncN,
     laurent_at_infinity,
+    poly_gcd,
 )
 from .operators import OperatorFamily
 
@@ -65,7 +73,114 @@ class MomentTable:
         return self.moments[s]
 
 
-_CACHE: "weakref.WeakKeyDictionary[OperatorFamily, list[MomentPoly]]" = (
+# {(x-power, n-power): coefficient}, an integer polynomial in x and n
+_Bivariate = dict[tuple[int, int], int]
+
+
+def _bmul(a: _Bivariate, b: _Bivariate) -> _Bivariate:
+    out: _Bivariate = {}
+    for (i, j), u in a.items():
+        for (p, q), v in b.items():
+            key = (i + p, j + q)
+            out[key] = out.get(key, 0) + u * v
+    return out
+
+
+def _badd(a: _Bivariate, b: _Bivariate, factor: int = 1) -> _Bivariate:
+    """a + factor * b."""
+    out = dict(a)
+    for key, v in b.items():
+        out[key] = out.get(key, 0) + factor * v
+    return out
+
+
+def _bivariate(terms: list[tuple[int, Poly]], k: int) -> _Bivariate:
+    """k * sum_p x^p c_p(n), for a k that clears every denominator."""
+    return {
+        (p, j): int(value * k)
+        for p, c in terms
+        for j, value in enumerate(c.coeffs)
+        if value
+    }
+
+
+class _Recursion:
+    """The integer state behind one family's moment table.
+
+    With lambda_n = L_num/L_den, mu_1 = M(n,x)/B(n) (B the monic lcm of
+    mu_1's coefficient denominators), E = L_num B, A = M L_num,
+    C = phi L_den B and k the lcm of the coefficient denominators of A, C
+    and E, the moments are mu_s = N_s / (k^s E^s) with N_0 = 1, N_1 = kA and
+
+        N_{s+1} = kA N_s + kC (s kE N_{s-1} + d/dx N_s)
+
+    over Python ints, with no gcd taken.  Holds N_{s-1}, N_s and the
+    MomentPolys built so far, but not the family, so the weak cache entry
+    that owns it goes with the family."""
+
+    def __init__(self, family: OperatorFamily) -> None:
+        lam, mu1 = family.lambda_n, family.mu1
+        B = Poly.const(1)
+        for _p, c in mu1.items():  # monic lcm
+            B = divmod(B * c.den, poly_gcd(B, c.den))[0]
+        E = lam.num * B
+        A = [(p, divmod(B, c.den)[0] * c.num * lam.num) for p, c in mu1.items()]
+        C = [(p, lam.den * B * c) for p, c in enumerate(family.phi.coeffs) if c]
+        k = math.lcm(
+            *(v.denominator for _p, c in [*A, *C, (0, E)] for v in c.coeffs)
+        )
+        kE = _bivariate([(0, E)], k)
+        self.kA = _bivariate(A, k)
+        self.kC = _bivariate(C, k)
+        self.kCkE = _bmul(self.kC, kE)
+        self.kE = Poly(tuple(kE.get((0, j), 0) for j in range(E.degree + 1)))
+        # (t, d) when kE = d n^t, which puts every entry over d^s n^(ts)
+        e_terms = [(j, d) for (_i, j), d in kE.items()]
+        self.monomial = e_terms[0] if len(e_terms) == 1 else None
+        self.previous: _Bivariate = {}
+        self.current: _Bivariate = {(0, 0): 1}
+        self.moments: list[MomentPoly] = [MomentPoly.const(1)]
+
+    def extend(self, s_max: int) -> None:
+        while len(self.moments) <= s_max:
+            s = len(self.moments) - 1
+            deriv = {(i - 1, j): i * v for (i, j), v in self.current.items() if i}
+            nxt = _badd(_bmul(self.kA, self.current), _bmul(self.kC, deriv))
+            nxt = _badd(nxt, _bmul(self.kCkE, self.previous), s)
+            self.previous = self.current
+            self.current = {key: v for key, v in nxt.items() if v}
+            self.moments.append(self._moment(s + 1))
+
+    def _moment(self, s: int) -> MomentPoly:
+        """N_s / (k^s E^s) as a MomentPoly, one normalisation per entry."""
+        by_power: dict[int, dict[int, int]] = {}
+        for (i, j), v in self.current.items():
+            by_power.setdefault(i, {})[j] = v
+        terms = []
+        if self.monomial is None:
+            den = self.kE**s
+            for i, c in by_power.items():
+                num = Poly(tuple(c.get(j, 0) for j in range(max(c) + 1)))
+                terms.append((i, RatFuncN(num, den)))
+            return MomentPoly(tuple(terms))
+        # strip the common power of n and divide by d^s: that leaves num
+        # coprime to a monic den, so no gcd is needed
+        t, d = self.monomial
+        scale, depth = d**s, t * s
+        dens: dict[int, Poly] = {}
+        for i, c in by_power.items():
+            low = min(min(c), depth)
+            num = Poly(
+                tuple(Fraction(c.get(j, 0), scale) for j in range(low, max(c) + 1))
+            )
+            m = depth - low
+            if m not in dens:
+                dens[m] = Poly((Fraction(0),) * m + (Fraction(1),))
+            terms.append((i, RatFuncN._trusted(num, dens[m])))
+        return MomentPoly(tuple(terms))
+
+
+_CACHE: "weakref.WeakKeyDictionary[OperatorFamily, _Recursion]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -76,20 +191,11 @@ def central_moments(family: OperatorFamily, s_max: int) -> MomentTable:
         raise ValueError("s_max must be >= 0")
     if s_max > MAX_MOMENT_ORDER:
         raise OrderTooLarge(f"moment order {s_max} above cap {MAX_MOMENT_ORDER}")
-    known = _CACHE.get(family)
-    if known is None:
-        known = [MomentPoly.const(1), family.mu1]
-        _CACHE[family] = known
-    phi_over_lambda = MomentPoly.from_poly(family.phi) * (
-        RatFuncN.const(1) / family.lambda_n
-    )
-    while len(known) <= s_max:
-        s = len(known) - 1
-        nxt = family.mu1 * known[s] + phi_over_lambda * (
-            s * known[s - 1] + known[s].dx()
-        )
-        known.append(nxt)
-    return MomentTable(family.id, tuple(known[: s_max + 1]))
+    recursion = _CACHE.get(family)
+    if recursion is None:
+        recursion = _CACHE[family] = _Recursion(family)
+    recursion.extend(s_max)
+    return MomentTable(family.id, tuple(recursion.moments[: s_max + 1]))
 
 
 def _monomial_exponent(den: Poly) -> int | None:

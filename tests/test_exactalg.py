@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from expasym.exactalg import (
     DenominatorZero,
@@ -177,6 +177,19 @@ class TestMomentPoly:
     def test_dx_product_rule(self, a, b):
         assert (a * b).dx() == a.dx() * b + a * b.dx()
 
+    @given(moment_polys, rationals)
+    @settings(max_examples=30)
+    def test_rational_scaling_and_dx_skip_no_normalisation(self, a, c):
+        # both build their coefficients without a gcd; renormalising them
+        # must change nothing
+        scaled = a * c
+        for m in (scaled, a.dx()):
+            for _power, coeff in m.items():
+                assert RatFuncN(coeff.num, coeff.den) == coeff
+        assert scaled == MomentPoly(
+            tuple((p, coeff * RatFuncN.const(c)) for p, coeff in a.items())
+        )
+
     @given(moment_polys)
     def test_dx_drops_degree(self, a):
         if a.is_zero or a.x_degree == 0:
@@ -199,6 +212,16 @@ class TestLaurent:
         r = RatFuncN(Poly.const(1), Poly((0, 0, 0, 1)))  # n^-3
         assert laurent_at_infinity(r, 2).is_zero
         assert laurent_at_infinity(r, 3).nonzero() == {3: F(1)}
+
+    def test_gapped_denominator(self):
+        # 1/(n^3 + 5n^2 + 2) = u^3 / (1 + 5u + 2u^3) with u = 1/n, and
+        # 1/(1 + 5u + 2u^3) = sum c_k u^k with c_k = -5 c_{k-1} - 2 c_{k-3}
+        r = RatFuncN(Poly.const(1), Poly((2, 0, 5, 1)))
+        series = laurent_at_infinity(r, 9)
+        assert series.nonzero() == {
+            3: F(1), 4: F(-5), 5: F(25), 6: F(-127),
+            7: F(645), 8: F(-3275), 9: F(16629),
+        }
 
     def test_contiguity_enforced(self):
         with pytest.raises(ValueError):

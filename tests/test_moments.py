@@ -1,8 +1,10 @@
+import gc
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expasym import moments
 from expasym.exactalg import MomentPoly, Poly, RatFuncN
 from expasym.moments import (
     MAX_MOMENT_ORDER,
@@ -21,6 +23,7 @@ from expasym.operators import (
     GAUSS_WEIERSTRASS,
     SZASZ,
     Interval,
+    central_moment_direct,
     make_family,
 )
 
@@ -67,6 +70,60 @@ def synthetic_family():
     return make_family("synthetic", Interval(F(0), F(1)), phi, lam, mu1)
 
 
+def reference_moments(family, s_max):
+    """The MomentPoly recursion the integer kernel replaced, every
+    operation normalised."""
+    known = [MomentPoly.const(1), family.mu1]
+    phi_over_lambda = MomentPoly.from_poly(family.phi) * (
+        RatFuncN.const(1) / family.lambda_n
+    )
+    while len(known) <= s_max:
+        s = len(known) - 1
+        known.append(
+            family.mu1 * known[s]
+            + phi_over_lambda * (s * known[s - 1] + known[s].dx())
+        )
+    return known[: s_max + 1]
+
+
+def general_families():
+    return {
+        "shifted_index": synthetic_family(),
+        # (3n^2/2 + 2n + 1/3) / (2n + 10): rational coefficients, the
+        # denominator given non-monic
+        "rational_index": make_family(
+            "rational_index",
+            Interval(F(0), F(1)),
+            Poly((0, 1, -1)),
+            RatFuncN(Poly((F(1, 3), 2, F(3, 2))), Poly((10, 2))),
+        ),
+        # mu_1 = 1/(n+2) + x^2/(3n^2 + 3)
+        "quadratic_mu1": make_family(
+            "quadratic_mu1",
+            Interval(F(0), None),
+            Poly((0, 1, 1)),
+            mu1=MomentPoly.from_mapping(
+                {
+                    0: RatFuncN(Poly.const(1), Poly((2, 1))),
+                    2: RatFuncN(Poly.const(F(1, 3)), Poly((1, 0, 1))),
+                }
+            ),
+        ),
+        # mu_1 = n/3 + x grows with n: its numerators outgrow n^(s)
+        "growing_mu1": make_family(
+            "growing_mu1",
+            Interval(F(0), F(1)),
+            Poly((0, 1, -1)),
+            mu1=MomentPoly.from_mapping(
+                {0: RatFuncN(Poly((0, F(1, 3))), Poly.const(1)), 1: 1}
+            ),
+        ),
+        "scaled_phi": make_family(
+            "scaled_phi", BASKAKOV.interval, BASKAKOV.phi * F(13, 17)
+        ),
+    }
+
+
 class TestRecursionAgainstJetRing:
     def test_low_orders_match_frozen_jets(self):
         jets = moment_jets(6)
@@ -109,6 +166,51 @@ class TestDirectSummationOracle:
                     assert mu.eval(n, x) == central_moment_direct(
                         BERNSTEIN, n, x, s
                     )
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("name", sorted(general_families()))
+    def test_matches_momentpoly_recursion(self, name):
+        family = general_families()[name]
+        want = reference_moments(family, 10)
+        got = central_moments(family, 10).moments
+        assert got == tuple(want)
+        assert [mu.text() for mu in got] == [mu.text() for mu in want]
+
+    def test_dropped_family_leaves_no_cache_entry(self):
+        gc.collect()
+        before = len(moments._CACHE)
+        family = make_family("transient", Interval(F(0), F(1)), Poly((0, 1, -1)))
+        central_moments(family, 6)
+        assert len(moments._CACHE) == before + 1
+        del family
+        gc.collect()
+        assert len(moments._CACHE) == before
+
+
+class TestMomentCap:
+    @pytest.mark.parametrize("s", [MAX_MOMENT_ORDER - 1, MAX_MOMENT_ORDER])
+    def test_bernstein_matches_direct_sums_at_cap(self, s):
+        mu = central_moments(BERNSTEIN, MAX_MOMENT_ORDER).moment(s)
+        for n in (64, 70):
+            for x in (F(1, 3), F(1, 2)):
+                assert mu.eval(n, x) == central_moment_direct(BERNSTEIN, n, x, s)
+
+    @pytest.mark.parametrize("family_id", sorted(FAMILIES))
+    @pytest.mark.parametrize("s", [MAX_MOMENT_ORDER - 1, MAX_MOMENT_ORDER])
+    def test_closed_forms_at_cap(self, family_id, s):
+        family = FAMILIES[family_id]
+        mu = central_moments(family, MAX_MOMENT_ORDER).moment(s)
+        want = leading_term_closed_form(s, family.phi)
+        if want.is_zero:
+            # gauss_weierstrass: phi' = 0 kills every odd moment
+            assert mu.is_zero
+            return
+        lead = (s + 1) // 2
+        assert vanishing_order(mu) == lead
+        expansion = moment_expansion(mu)
+        assert min(expansion) == lead
+        assert expansion[lead] == want
 
 
 class TestMomentTable:
