@@ -109,7 +109,8 @@ def general_families():
                 }
             ),
         ),
-        # mu_1 = n/3 + x grows with n: its numerators outgrow n^(s)
+        # mu_1 = n/3 + x grows with n, so its numerators outgrow the
+        # n^(ts) of the integer denominator
         "growing_mu1": make_family(
             "growing_mu1",
             Interval(F(0), F(1)),
