@@ -133,7 +133,7 @@ class _Recursion:
         self.kA = _bivariate(A, k)
         self.kC = _bivariate(C, k)
         self.kCkE = _bmul(self.kC, kE)
-        self.kE = Poly(tuple(kE.get((0, j), 0) for j in range(E.degree + 1)))
+        self.kE = E * k
         # (t, d) when kE = d n^t, which puts every entry over d^s n^(ts)
         e_terms = [(j, d) for (_i, j), d in kE.items()]
         self.monomial = e_terms[0] if len(e_terms) == 1 else None
