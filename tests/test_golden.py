@@ -4,9 +4,11 @@ Each case runs in-process through ``cli.main`` in every output format and
 must reproduce ``tests/golden/<case>.<format>`` exactly, with the recorded
 exit status.  The cases are the README commands, three float-heavy
 runs (a series identity defect, a quadrature value and a sinusoid
-limit-defect study), one large-n exact Bernstein sum and one deeper moment
-table, so a change to number formatting, precision handling, summation
-order or moment-table normalisation shows up here as a diff.
+limit-defect study), one large-n exact Bernstein sum, one deeper moment
+table and three Bernstein float runs (a large-n value, a sinusoid
+derivative defect study and a deep residual study at a tight --tol), so a
+change to number formatting, precision handling, summation order, tail
+cuts or moment-table normalisation shows up here as a diff.
 """
 
 from pathlib import Path
@@ -60,6 +62,22 @@ CASES = {
     "evaluate_bernstein_poly_large_n": (
         ["evaluate", "--family", "bernstein", "--f", "poly:1/8,-3/4,5/8,-1/2,3/8",
          "--x", "7/16", "--n", "4096", "--r", "2"],
+        0,
+    ),
+    "evaluate_bernstein_exp_large_n": (
+        ["evaluate", "--family", "bernstein", "--f", "exp:1", "--x", "2/5",
+         "--n", "4096", "--r", "2"],
+        0,
+    ),
+    "voronovskaja_bernstein_sin": (
+        ["voronovskaja", "--family", "bernstein", "--f", "sin:1,0", "--x", "1/3",
+         "--r", "1", "--grid", "64:4"],
+        0,
+    ),
+    # --tol must reach the sum, and the residual floor must scale with it
+    "verify_bernstein_exp_tight_tol": (
+        ["verify", "--family", "bernstein", "--f", "exp:1", "--x", "2/5",
+         "--r", "0", "--q", "6", "--grid", "2048:3", "--tol", "1e-60"],
         0,
     ),
 }
