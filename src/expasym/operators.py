@@ -10,7 +10,8 @@ Families and rules:
       (B_n f)^{(r)}(x) = n!/(n-r)! * sum_{k=0}^{n-r} Delta^r_{1/n} f(k/n)
                          * C(n-r,k) x^k (1-x)^{n-r-k}
   evaluated exactly for polynomial f and rational x, as one integer sum
-  over the common denominator with a single reduction at the end.
+  over the common denominator with a single reduction at the end; other f
+  go through the windowed sum below, like the series.
 * szasz on [0, oo), phi = x:
       (S_n f)^{(r)}(x) = n^r e^{-nx} sum_k (nx)^k/k! * Delta^r_{1/n} f(k/n)
 * baskakov on [0, oo), phi = x(1+x):
@@ -21,12 +22,13 @@ Families and rules:
   by Gauss-Hermite quadrature (normalised weights v_i = w_i/sqrt(pi)),
   convergence checked by doubling the order.
 
-Infinite series are summed over a window around the mode m of the weights
-(m = floor(n x) for szasz, floor((n+r-1) x) for baskakov): w_m comes from
+Float bernstein sums and the infinite series are summed over a window
+around the mode m of the weights (m = floor((n-r+1) x) for bernstein,
+floor(n x) for szasz, floor((n+r-1) x) for baskakov): w_m comes from
 log-gamma, and the sum walks left and right from m until each side's tail
 is below a certified geometric bound, built from the weight ratios and
 the declared growth bound of f.  The window holds O(sqrt(n x)) terms, and
-the reported value is within tol of the infinite sum.
+the reported value is within tol of the full sum.
 
 Evaluators return exact Fractions whenever every ingredient is rational,
 else mpf values at the working precision of expasym.numeric.
@@ -43,17 +45,7 @@ from mpmath import mp
 
 from .exactalg import MomentPoly, Poly, Rat, RatFuncN, Scalar, _as_rat, format_rat
 from .functions import SmoothFunction
-from .numeric import (  # noqa: F401  precision names re-exported for callers
-    DEFAULT_PRECISION_BITS,
-    GUARD_BITS,
-    MIN_PRECISION_BITS,
-    BigFloat,
-    Number,
-    dot,
-    resolve_precision,
-    to_mpf,
-    working,
-)
+from .numeric import BigFloat, Number, dot, to_mpf, working
 
 DEFAULT_TOL = Fraction(1, 10**30)
 
@@ -276,11 +268,8 @@ def forward_difference(f: SmoothFunction, t0: Scalar, h: Scalar, r: int, prec: i
         raise ValueError("difference order must be >= 0")
     t0, h = _as_rat(t0), _as_rat(h)
     values = [f.eval_number(t0 + i * h, 0, prec) for i in range(r + 1)]
-    return dot(_difference_signs(r), values, prec)
-
-
-def _difference_signs(r: int) -> list[int]:
-    return [(-1) ** (r - i) * math.comb(r, i) for i in range(r + 1)]
+    signs = [(-1) ** (r - i) * math.comb(r, i) for i in range(r + 1)]
+    return dot(signs, values, prec)
 
 
 def bernstein_eval(
@@ -288,10 +277,11 @@ def bernstein_eval(
     n: int,
     x: Scalar,
     r: int = 0,
+    tol: Rat = DEFAULT_TOL,
     prec: int | None = None,
 ) -> Number:
-    """(B_n f)^{(r)}(x); exact rational when f equals a polynomial
-    (SmoothFunction.as_poly) and x is rational."""
+    """(B_n f)^{(r)}(x), within tol; exact rational when f equals a
+    polynomial (SmoothFunction.as_poly) and x is rational."""
     x = _as_rat(x)
     if r < 0:
         raise ValueError("derivative order must be >= 0")
@@ -303,31 +293,28 @@ def bernstein_eval(
         raise ValueError(f"x = {format_rat(x)} outside [0, 1]")
     m = n - r
     perm = math.perm(n, r)
-    h = Fraction(1, n)
-    if x == 0:
-        return perm * forward_difference(f, Fraction(0), h, r, prec)
     if x == 1:
-        return perm * forward_difference(f, Fraction(m, n), h, r, prec)
+        return perm * forward_difference(f, Fraction(m, n), Fraction(1, n), r, prec)
     poly = f.as_poly()
     if poly is not None:
         return perm * _bernstein_integer_sum(poly, n, r, x)
-    with working(prec):
-        signs = _difference_signs(r)
-        values = list(islice(f.values_iter(h), n + 1))
-        basis = mp.power(to_mpf(1 - x), m)
-        step = to_mpf(x / (1 - x))
-        total = mp.mpf(0)
-        for k in range(m + 1):
-            delta = sum(signs[i] * values[k + i] for i in range(r + 1))
-            total += basis * delta
-            if k < m:
-                basis = basis * (m - k) / (k + 1) * step
-        return perm * total
+
+    def log_weight(k: int) -> BigFloat:
+        # w_k = C(m, k) x^k (1-x)^(m-k)
+        return (
+            mp.loggamma(m + 1)
+            - mp.loggamma(k + 1)
+            - mp.loggamma(m - k + 1)
+            + k * mp.log(to_mpf(x))
+            + (m - k) * mp.log(to_mpf(1 - x))
+        )
+
+    return _series_eval(f, n, x, r, tol, prec, log_weight, x / (1 - x), m, -1, perm)
 
 
 def _bernstein_integer_sum(p: Poly, n: int, r: int, x: Rat) -> Fraction:
     """sum_{k<=m} C(m,k) x^k (1-x)^(m-k) Delta^r_{1/n} p(k/n), m = n - r,
-    for 0 < x < 1, summed over Python ints and reduced once at the end.
+    for 0 <= x < 1, summed over Python ints and reduced once at the end.
 
     With x = a/b, D the lcm of p's coefficient denominators and d = deg p,
     g(k) = D n^d p(k/n) is an integer polynomial in k, evaluated by Horner
@@ -372,13 +359,18 @@ def _series_eval(
     offset: int,
     slope: int,
     prefactor: int,
-) -> BigFloat:
-    """Shared windowed summation for szasz/baskakov.
+) -> Number:
+    """Shared windowed summation for bernstein/szasz/baskakov.
 
     The weights w_k (k >= 0) satisfy w_{k+1}/w_k = scale (offset + slope k)
-    / (k + 1), which is non-increasing in k with limit scale * slope, so
-    w_k increases up to the mode m and decreases after it; log_weight(k) is
-    log w_k in closed form.  |Delta^r_{1/n} f(k/n)| is majorised by
+    / (k + 1), which is non-increasing in k, so w_k increases up to the
+    mode m and decreases after it; log_weight(k) is log w_k in closed form.
+    With slope = -1 (bernstein) the ratio reaches 0 at k = offset and the
+    weights vanish beyond it, so the right walk stops there by itself.  At
+    x = 0 only w_0 is nonzero and the sum is the point mass
+    prefactor * Delta^r_{1/n} f(0), exact whenever f(0), ..., f(r/n) are.
+
+    |Delta^r_{1/n} f(k/n)| is majorised by
     M_k = C 2^r (1 + (k+r)/n)^d E^(k+r), non-decreasing in k, with E the
     rational stretch covering e^(a/n); the series converges iff
     scale * slope * E < 1.
@@ -397,6 +389,8 @@ def _series_eval(
     the rounding margin.  Ratios are kept in mpf; drift along the window
     is ~(U - L) ulp at working precision.  The values f((L + j)/n) come
     from one values_iter stream of f shifted by L/n."""
+    if x == 0:
+        return prefactor * forward_difference(f, Fraction(0), Fraction(1, n), r, prec)
     growth_const, growth_deg, growth_rate = f.halfline_majorant()
     stretch = _growth_stretch(growth_rate, n)
     if scale * slope * stretch >= 1:
@@ -484,8 +478,6 @@ def szasz_eval(
         raise ValueError("need n >= 1 and r >= 0")
     if x < 0:
         raise ValueError(f"x = {format_rat(x)} outside [0, oo)")
-    if x == 0:
-        return n**r * forward_difference(f, Fraction(0), Fraction(1, n), r, prec)
     rate = n * x
 
     def log_weight(k: int) -> BigFloat:
@@ -511,8 +503,6 @@ def baskakov_eval(
     if x < 0:
         raise ValueError(f"x = {format_rat(x)} outside [0, oo)")
     rising = math.prod(range(n, n + r)) if r else 1
-    if x == 0:
-        return rising * forward_difference(f, Fraction(0), Fraction(1, n), r, prec)
     q = x / (1 + x)
 
     def log_weight(k: int) -> BigFloat:
@@ -697,7 +687,7 @@ def operator_eval(
     # module globals, not a table of function objects, so that rebinding a
     # module attribute (as perfbench/tracer.py does) reaches these calls
     if family.evaluator == "bernstein":
-        return bernstein_eval(f, n, x, r, prec=prec)
+        return bernstein_eval(f, n, x, r, tol=tol, prec=prec)
     if family.evaluator == "szasz":
         return szasz_eval(f, n, x, r, tol=tol, prec=prec)
     if family.evaluator == "baskakov":

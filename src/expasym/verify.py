@@ -14,10 +14,10 @@ Turns asymptotic statements into measurable pass/fail artifacts:
   richardson           dyadic extrapolation against a known exponent ladder.
 
 Exact zeros (polynomial cases) never enter a log fit; residuals below the
-evaluator noise floor are classified as exact, since fitting them would
-measure rounding noise, not truncation order.  Every exact-or-float
-decision (subtraction, comparison, magnitude, rendering) is made by
-expasym.numeric.
+evaluator noise floor 16 tol (every float rule is only tol-accurate) are
+classified as exact, since fitting them would measure evaluator error, not
+truncation order.  Every exact-or-float decision (subtraction, comparison,
+magnitude, rendering) is made by expasym.numeric.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .numeric import (
     combine,
     format_number,
     magnitude,
-    resolve_precision,
     subtract,
 )
 from .operators import DEFAULT_TOL, OperatorFamily, operator_eval
@@ -156,16 +155,6 @@ def fit_order(
     return slope, r_squared
 
 
-def _noise_floor(family: OperatorFamily, tol: Rat, prec: int | None) -> Rat:
-    """Magnitude below which a residual is evaluator noise: the series and
-    quadrature rules are only tol-accurate; the exact-path families only
-    carry rounding at the working precision."""
-    if family.evaluator in ("szasz", "baskakov", "gauss"):
-        return 16 * tol
-    bits = resolve_precision(prec)
-    return Fraction(1, 2 ** (bits - 16))
-
-
 def _validate_grid(grid: Sequence[int]) -> tuple[int, ...]:
     grid = tuple(int(n) for n in grid)
     if len(grid) < 2:
@@ -221,7 +210,7 @@ def residual_study(
         values.append(value)
         predictions.append(prediction)
         residuals.append(subtract(value, prediction, prec))
-    floor = _noise_floor(family, tol, prec)
+    floor = 16 * tol
     try:
         slope, r_squared = fit_order(grid, residuals, floor=floor)
         passed = slope <= -(q + SLOPE_SLACK)

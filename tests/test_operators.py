@@ -295,9 +295,31 @@ def _baskakov_closed_form(n, x, r, rate):
     return math.prod(range(n, n + r)) * (e - 1) ** r * (1 + to_mpf(x) - to_mpf(x) * e) ** (-(n + r))
 
 
+def _bernstein_exp_closed_form(n, x, r, rate):
+    # B_n(e^{ct})^{(r)}(x) = n!/(n-r)! (e^{c/n}-1)^r (1-x+x e^{c/n})^{n-r}
+    e = mp.exp(rate / n)
+    return math.perm(n, r) * (e - 1) ** r * (1 - to_mpf(x) + to_mpf(x) * e) ** (n - r)
+
+
+@pytest.fixture
+def values_pulled(monkeypatch):
+    """One-element list counting the values SmoothFunction.values_iter yields."""
+    pulled = [0]
+    original = SmoothFunction.values_iter
+
+    def counting(self, step):
+        for value in original(self, step):
+            pulled[0] += 1
+            yield value
+
+    monkeypatch.setattr(SmoothFunction, "values_iter", counting)
+    return pulled
+
+
 class TestSeriesWindow:
-    """The szasz/baskakov sums start at the mode and cut both tails under
-    certified bounds; far from k = 0 they still meet the closed forms."""
+    """The bernstein/szasz/baskakov sums start at the mode and cut both
+    tails under certified bounds; far from k = 0 they still meet the closed
+    forms."""
 
     N, X = 2**14, F(3)
     SIN = SmoothFunction.sinusoid(F(3, 2), F(1, 3))
@@ -338,21 +360,48 @@ class TestSeriesWindow:
                     want = closed_form(n, x, r, mp.mpf(1))
                     assert abs(got - want) <= tol_mpf(), (evaluate.__name__, r)
 
-    def test_window_grows_like_sqrt_nx(self, monkeypatch):
+    def test_window_grows_like_sqrt_nx(self, values_pulled):
         # the weights hold everything above tol within ~12 sqrt(nx) of the
         # mode; a sum from k = 0 would pull more than 4 n x = 16384 values
-        pulled = 0
-        original = SmoothFunction.values_iter
-
-        def counting(self, step):
-            nonlocal pulled
-            for value in original(self, step):
-                pulled += 1
-                yield value
-
-        monkeypatch.setattr(SmoothFunction, "values_iter", counting)
         szasz_eval(EXP1, 4096, F(1))
-        assert 0 < pulled <= 2000
+        assert 0 < values_pulled[0] <= 2000
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("x", [F(2, 5), F(1, 1000), F(999, 1000)])
+    def test_bernstein_closed_forms_at_large_n(self, x, r):
+        with mp.workprec(320):
+            got = bernstein_eval(EXP1, self.N, x, r)
+            want = _bernstein_exp_closed_form(self.N, x, r, mp.mpf(1))
+            assert abs(got - want) <= tol_mpf()
+            got = bernstein_eval(self.SIN, self.N, x, r)
+            a, b = to_mpf(self.SIN.a), to_mpf(self.SIN.b)
+            want = (mp.expj(b) * _bernstein_exp_closed_form(self.N, x, r, mp.mpc(0, a))).imag
+            assert abs(got - want) <= tol_mpf()
+
+    @pytest.mark.parametrize("n, x", [(3, F(1, 3)), (4, F(7, 8))])
+    def test_bernstein_mode_at_an_edge(self, n, x):
+        # n = 3, x = 1/3, r = 2 puts the mode at k = 0; n = 4, x = 7/8,
+        # r = 0 puts it at k = m = n
+        with mp.workprec(320):
+            for r in range(n + 1):
+                got = bernstein_eval(EXP1, n, x, r)
+                want = _bernstein_exp_closed_form(n, x, r, mp.mpf(1))
+                assert abs(got - want) <= tol_mpf(), r
+
+    def test_bernstein_window_grows_like_sqrt_n(self, values_pulled):
+        # all n + 1 = 4097 binomial terms would pull 4097 values
+        bernstein_eval(EXP1, 4096, F(1, 2), 2)
+        assert 0 < values_pulled[0] <= 1200
+
+    def test_bernstein_dispatch_honours_tol(self, values_pulled):
+        n, x, r, tol = 4096, F(1, 2), 1, F(1, 10**12)
+        with mp.workprec(320):
+            want = _bernstein_exp_closed_form(n, x, r, mp.mpf(1))
+            coarse = operator_eval(BERNSTEIN, EXP1, n, x, r, tol=tol)
+            coarse_pulled, values_pulled[0] = values_pulled[0], 0
+            assert abs(coarse - want) <= to_mpf(tol)
+            operator_eval(BERNSTEIN, EXP1, n, x, r)
+            assert coarse_pulled < values_pulled[0]
 
 
 class TestGaussWeierstrass:

@@ -95,6 +95,21 @@ class TestResidualStudy:
         assert report.fitted_order <= -1.75
         assert report.r_squared >= 0.98
 
+    @pytest.mark.parametrize("tol, order", [(DEFAULT_TOL, None), (F(1, 10**60), -7)])
+    def test_noise_floor_scales_with_tol(self, tol, order):
+        # the q = 6 residuals (~1.7e-32 down to ~1.0e-36) are below 16 tol at
+        # the default tol, where the sum is only that accurate; a finer tol
+        # resolves them and the fit recovers order -(q + 1)
+        f = SmoothFunction.exponential(1)
+        report = residual_study(
+            BERNSTEIN, f, F(2, 5), 0, 6, (2048, 4096, 8192), tol=tol
+        )
+        assert report.passed
+        if order is None:
+            assert report.fitted_order is None
+        else:
+            assert abs(report.fitted_order - order) < 0.05
+
     def test_q_zero_rejected(self):
         with pytest.raises(ValueError):
             residual_study(BERNSTEIN, E2, F(1, 2), 0, 0, (8, 16))
