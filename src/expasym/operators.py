@@ -330,7 +330,7 @@ def _bernstein_integer_sum(p: Poly, n: int, r: int, x: Rat) -> Fraction:
     ]
     coeffs.reverse()
     values = []
-    for k in range(n + 1):
+    for k in range(n + 1 if a else r + 1):  # at x = 0 only w_0 is nonzero
         acc = 0
         for c in coeffs:
             acc = acc * k + c

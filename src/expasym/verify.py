@@ -13,10 +13,10 @@ Turns asymptotic statements into measurable pass/fail artifacts:
                        direct evaluators, reported as a defect;
   richardson           dyadic extrapolation against a known exponent ladder.
 
-Exact zeros (polynomial cases) never enter a log fit; residuals below the
-evaluator noise floor 16 tol (every float rule is only tol-accurate) are
-classified as exact, since fitting them would measure evaluator error, not
-truncation order.  Every exact-or-float decision (subtraction, comparison,
+Exact zeros (polynomial cases) never enter a log fit; float residuals below
+the evaluator noise floor 16 tol (every float rule is only tol-accurate)
+are classified as exact, since fitting them would measure evaluator error,
+not truncation order.  Every exact-or-float decision (subtraction, comparison,
 magnitude, rendering) is made by expasym.numeric.
 """
 
@@ -38,6 +38,7 @@ from .numeric import (
     abs_le,
     combine,
     format_number,
+    is_exact,
     magnitude,
     subtract,
 )
@@ -192,7 +193,10 @@ def residual_study(
 ) -> ConvergenceReport:
     """Decay study of (S_n f)^{(r)}(x) minus the order-q expansion.  The
     next expansion term exists for the shipped f, so the residual decays
-    one full order faster: pass means fitted order <= -(q + 0.75)."""
+    one full order faster: pass means fitted order <= -(q + 0.75).  With
+    fewer than three residuals above the floor, the fitted order is the
+    slope between the two (None with one or none), and no residual may
+    rise above the floor after one sank below it."""
     x = _as_rat(x)
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -210,14 +214,24 @@ def residual_study(
         values.append(value)
         predictions.append(prediction)
         residuals.append(subtract(value, prediction, prec))
-    floor = 16 * tol
-    try:
-        slope, r_squared = fit_order(grid, residuals, floor=floor)
-        passed = slope <= -(q + SLOPE_SLACK)
-        fitted: float | None = slope
-        rsq: float | None = r_squared
-    except AllResidualsZero:
-        passed, fitted, rsq = True, None, None
+    # exact residuals carry no evaluator error; float ones are tol-accurate
+    floor = Fraction(0) if all(map(is_exact, residuals)) else 16 * tol
+    bound = -(q + SLOPE_SLACK)
+    above = [i for i, res in enumerate(residuals) if not abs_le(res, floor)]
+    fitted: float | None = None
+    rsq: float | None = None
+    if len(above) >= 3:
+        fitted, rsq = fit_order(grid, residuals, floor=floor)
+        passed = fitted <= bound
+    else:
+        # too few residuals above the floor to fit: they must lead the grid
+        # (the rest sank below it) and a pair must fall like n^bound
+        passed = above == list(range(len(above)))
+        if len(above) == 2:
+            with mp.workprec(64):
+                drop = mp.log(magnitude(residuals[1]) / magnitude(residuals[0]))
+            fitted = float(drop) / math.log(grid[1] / grid[0])
+            passed = passed and fitted <= bound
     return ConvergenceReport(
         family_id=family.id,
         f=f.describe(),

@@ -95,20 +95,38 @@ class TestResidualStudy:
         assert report.fitted_order <= -1.75
         assert report.r_squared >= 0.98
 
-    @pytest.mark.parametrize("tol, order", [(DEFAULT_TOL, None), (F(1, 10**60), -7)])
-    def test_noise_floor_scales_with_tol(self, tol, order):
-        # the q = 6 residuals (~1.7e-32 down to ~1.0e-36) are below 16 tol at
-        # the default tol, where the sum is only that accurate; a finer tol
-        # resolves them and the fit recovers order -(q + 1)
+    @pytest.mark.parametrize(
+        "grid, tol, order",
+        [
+            ((2048, 4096, 8192), DEFAULT_TOL, None),
+            ((2048, 4096, 8192), F(1, 10**60), -7),
+            ((256, 512, 1024, 2048), DEFAULT_TOL, -7),
+            ((256, 512, 1024), DEFAULT_TOL, -7),
+            ((512, 1024, 2048), DEFAULT_TOL, None),
+        ],
+    )
+    def test_noise_floor_scales_with_tol(self, grid, tol, order):
+        # the q = 6 residuals (~3.4e-26 at n = 256 down to ~1.0e-36) sink
+        # below 16 tol from n = 1024 at the default tol, where the sum is
+        # only that accurate; a finer tol resolves them and the fit recovers
+        # order -(q + 1).  With one or two left above the floor there is too
+        # little to fit: two give their slope, one gives no order
         f = SmoothFunction.exponential(1)
-        report = residual_study(
-            BERNSTEIN, f, F(2, 5), 0, 6, (2048, 4096, 8192), tol=tol
-        )
+        report = residual_study(BERNSTEIN, f, F(2, 5), 0, 6, grid, tol=tol)
         assert report.passed
         if order is None:
             assert report.fitted_order is None
         else:
             assert abs(report.fitted_order - order) < 0.05
+
+    def test_exact_residuals_are_not_floored(self):
+        # t^15 / 10^20 with q = 7: the exact residuals (~1e-38) sit far
+        # below 16 tol but carry no evaluator error, so they are fitted
+        f = SmoothFunction.polynomial([0] * 15 + [F(1, 10**20)])
+        report = residual_study(BERNSTEIN, f, F(2, 5), 0, 7, (256, 512, 1024))
+        assert all(0 < abs(res) < 16 * DEFAULT_TOL for res in report.residuals)
+        assert report.passed
+        assert abs(report.fitted_order + 8) < 0.05
 
     def test_q_zero_rejected(self):
         with pytest.raises(ValueError):
