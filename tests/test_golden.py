@@ -6,8 +6,9 @@ exit status.  The cases are the README commands, three float-heavy
 runs (a series identity defect, a quadrature value and a sinusoid
 limit-defect study), one large-n exact Bernstein sum, one deeper moment
 table and three Bernstein float runs (a large-n value, a sinusoid
-derivative defect study and a deep residual study at a tight --tol), so a
-change to number formatting, precision handling, summation order, tail
+derivative defect study and a deep residual study at a tight --tol), and
+two studies whose residuals stay above the noise floor but are too few
+to fit an order, so a change to number formatting, precision handling, summation order, tail
 cuts or moment-table normalisation shows up here as a diff.
 """
 
@@ -78,6 +79,16 @@ CASES = {
     "verify_bernstein_exp_tight_tol": (
         ["verify", "--family", "bernstein", "--f", "exp:1", "--x", "2/5",
          "--r", "0", "--q", "6", "--grid", "2048:3", "--tol", "1e-60"],
+        0,
+    ),
+    # studies with residuals above the noise floor but too few to fit
+    "verify_bernstein_exp_not_fitted": (
+        ["verify", "--family", "bernstein", "--f", "exp:1", "--x", "2/5",
+         "--r", "0", "--q", "6", "--grid", "512:3"],
+        0,
+    ),
+    "voronovskaja_szasz_exp_not_fitted": (
+        ["voronovskaja", "--family", "szasz", "--f", "exp:1", "--x", "1", "--grid", "64:2"],
         0,
     ),
 }
