@@ -185,9 +185,6 @@ class Poly:
                 break
         return Poly(tuple(quot)), Poly(tuple(rem))
 
-    def __mod__(self, other: Poly) -> Poly:
-        return divmod(self, other)[1]
-
     def __call__(self, point):
         """Horner evaluation; works for Rat and for mpf-like points."""
         result = None

@@ -18,9 +18,10 @@ Families and rules:
       (V_n f)^{(r)}(x) = n(n+1)...(n+r-1) * sum_k Delta^r_{1/n} f(k/n)
                          * C(n+r+k-1,k) x^k (1+x)^{-n-r-k}
 * gauss_weierstrass on (-oo, oo), phi = 1:
-      (W_n f)^{(r)}(x) = (n/2)^{r/2} sum_i v_i H_r(u_i) f(x + u_i sqrt(2/n))
-  by Gauss-Hermite quadrature (normalised weights v_i = w_i/sqrt(pi)),
-  convergence checked by doubling the order.
+      (W_n f)^{(r)}(x) = (n/2)^{r/2} pi^{-1/2}
+                         * integral f(x + u sqrt(2/n)) H_r(u) e^{-u^2} du
+  by the trapezoidal rule, its step from a certified strip bound and its
+  cut-off from a certified tail bound, both sized from tol.
 
 Float bernstein sums and the infinite series are summed over a window
 around the mode m of the weights (m = floor((n-r+1) x) for bernstein,
@@ -44,7 +45,7 @@ from itertools import islice
 from mpmath import mp
 
 from .exactalg import MomentPoly, Poly, Rat, RatFuncN, Scalar, _as_rat, format_rat
-from .functions import SmoothFunction
+from .functions import EXP, SmoothFunction
 from .numeric import BigFloat, Number, dot, to_mpf, working
 
 DEFAULT_TOL = Fraction(1, 10**30)
@@ -59,7 +60,8 @@ class GrowthBoundViolated(ValueError):
 
 
 class QuadratureNotConverged(ArithmeticError):
-    """Doubling the quadrature order moved the result beyond tolerance."""
+    """The trapezoidal rule needs more nodes than quad_order allows to
+    certify tol."""
 
 
 @dataclass(frozen=True)
@@ -518,89 +520,6 @@ def baskakov_eval(
     return _series_eval(f, n, x, r, tol, prec, log_weight, q, n + r, 1, rising)
 
 
-_GH_CACHE: dict[tuple[int, int], tuple[tuple, tuple]] = {}
-
-
-def _gauss_hermite(order: int, prec_bits: int) -> tuple[tuple, tuple]:
-    """Nodes and sqrt(pi)-normalised weights for physicists' Gauss-Hermite,
-    polished to prec_bits by Newton iteration on the recurrence."""
-    key = (order, prec_bits)
-    cached = _GH_CACHE.get(key)
-    if cached is not None:
-        return cached
-    from numpy.polynomial.hermite import hermgauss
-
-    seeds = hermgauss(order)[0]
-
-    def hermite_last_two(u):
-        # returns (H_{order-1}(u), H_order(u))
-        prev, cur = mp.mpf(1), 2 * u
-        for k in range(1, order):
-            prev, cur = cur, 2 * u * cur - 2 * k * prev
-        return prev, cur
-
-    with mp.workprec(prec_bits + 64):
-        eps = mp.mpf(2) ** (-(prec_bits + 16))
-        nodes = []
-        for seed in seeds:
-            if seed <= 0:
-                continue
-            u = mp.mpf(float(seed))
-            for _ in range(40):
-                prev, cur = hermite_last_two(u)
-                if prev == 0:
-                    break
-                correction = cur / (2 * order * prev)
-                u -= correction
-                if abs(correction) <= eps * max(abs(u), mp.mpf(1)):
-                    break
-            nodes.append(u)
-        positive = sorted(nodes)
-        scale = to_mpf(Fraction(2 ** (order - 1) * math.factorial(order), order**2))
-
-        def weight_of(u):
-            prev, _ = hermite_last_two(u)
-            return scale / (prev * prev)
-
-        full_nodes: list = []
-        full_weights: list = []
-        for u in reversed(positive):
-            full_nodes.append(-u)
-            full_weights.append(weight_of(u))
-        if order % 2 == 1:
-            zero = mp.mpf(0)
-            full_nodes.append(zero)
-            full_weights.append(weight_of(zero))
-        for u in positive:
-            full_nodes.append(u)
-            full_weights.append(weight_of(u))
-    result = (tuple(full_nodes), tuple(full_weights))
-    _GH_CACHE[key] = result
-    return result
-
-
-def _hermite_value(r: int, u) -> BigFloat:
-    if r == 0:
-        return mp.mpf(1)
-    prev, cur = mp.mpf(1), 2 * u
-    for k in range(1, r):
-        prev, cur = cur, 2 * u * cur - 2 * k * prev
-    return cur
-
-
-def _gw_quadrature(f: SmoothFunction, n: int, x: Rat, r: int, order: int) -> BigFloat:
-    nodes, weights = _gauss_hermite(order, mp.prec)
-    spread = mp.sqrt(to_mpf(Fraction(2, n)))
-    xm = to_mpf(x)
-    total = mp.mpf(0)
-    for u, w in zip(nodes, weights):
-        factor = w if r == 0 else w * _hermite_value(r, u)
-        total += factor * f.eval_mpf(xm + u * spread)
-    if r == 0:
-        return total
-    return mp.sqrt(to_mpf(Fraction(n, 2) ** r)) * total
-
-
 def gauss_weierstrass_eval(
     f: SmoothFunction,
     n: int,
@@ -610,22 +529,102 @@ def gauss_weierstrass_eval(
     tol: Rat = DEFAULT_TOL,
     prec: int | None = None,
 ) -> BigFloat:
-    """(W_n f)^{(r)}(x) by Gauss-Hermite quadrature; the order is doubled
-    and the two results must agree within tol."""
+    """(W_n f)^{(r)}(x) by the trapezoidal rule, within tol.
+
+    With t = x + u s, s = sqrt(2/n), the value is (n/2)^{r/2} pi^{-1/2}
+    times the integral of g(u) = f(x + u s) H_r(u) e^{-u^2}, summed as
+    h sum_{|j| < J} g(j h).  g is entire, so the sum is off by at most
+    2M/(e^{2 pi a/h} - 1) if M bounds the integral of |g| along every line
+    of the strip |Im u| < a (Trefethen & Weideman, "The exponentially
+    convergent trapezoidal rule", SIAM Review 56(3), 2014, Thm 5.1).  As
+    |e^{-(v+iy)^2}| = e^{y^2 - v^2}, M <= e^{a^2 + k} times the integral of
+    Q(|w| + c) e^{-w^2}, which is sum_j [Q(. + c)]_j Gamma((j+1)/2), where
+    Q has the absolute coefficients of H_r and
+      poly: also those of f's Taylor polynomial at x, the j-th times s^j;
+            k = 0, c = a;
+      exp:b: |f| = e^{b(x + v s)}, and completing the square gives
+            k = b x + (b s)^2/4, c = a + |b| s/2;
+      sin:b,_: |f| <= cosh(b y s), so k = |b| s a, c = a.
+    a is iterated towards sqrt(log(M e^{-a^2 - |b| s a}/tol)), where h is
+    largest, and h puts the strip bound at tol/4.  On the real line |g(u)|
+    <= e^{k0 + k1 |u|} Q(|u|) e^{-u^2} (k0 = b x, k1 = |b| s for exp, else
+    0), and from index J on these bounds shrink at least by the factor
+    rho = (1 + 1/J)^(deg Q) e^{k1 h - (2J + 1) h^2} per step, so each tail
+    is under the J-th bound over 1 - rho; J is the first index where that
+    is under tol/8, leaving half of tol as the rounding margin.  h s is
+    rounded down to 7 significant bits, a rational, so f comes from one
+    values_iter stream.  More than 3 quad_order nodes is refused."""
     x = _as_rat(x)
     if r < 0 or n < 1:
         raise ValueError("need n >= 1 and r >= 0")
     if quad_order < 16:
         raise ValueError("quad_order must be >= 16")
+    poly = f.as_poly()
+    if poly is not None and poly.is_zero:
+        return mp.mpf(0)
+    hermite = [0] * (r + 1)  # H_r, lowest power first
+    for m in range(r // 2 + 1):
+        hermite[r - 2 * m] = (-1) ** m * 2 ** (r - 2 * m) * math.perm(r, 2 * m) // math.factorial(m)
     with working(prec):
-        coarse = _gw_quadrature(f, n, x, r, quad_order)
-        fine = _gw_quadrature(f, n, x, r, 2 * quad_order)
-        if abs(fine - coarse) > to_mpf(tol):
-            raise QuadratureNotConverged(
-                f"order {quad_order} -> {2 * quad_order} moved the result by "
-                f"{mp.nstr(abs(fine - coarse), 6)}"
+        s = mp.sqrt(mp.mpf(2) / n)
+        scale = mp.sqrt(mp.mpf(n) / 2) ** r / mp.sqrt(mp.pi)
+        log_budget = mp.log(8 * scale / to_mpf(tol))  # budget/8 = tol/(8 scale)
+        majorant = [abs(c) for c in hermite]
+        k0 = k1 = shift = spread = 0
+        if poly is not None:
+            taylor = [abs(f.eval_exact(x, j)) / math.factorial(j) * s**j for j in range(poly.degree + 1)]
+            majorant = [
+                mp.fsum(q * taylor[k - i] for i, q in enumerate(majorant) if 0 <= k - i < len(taylor))
+                for k in range(len(majorant) + len(taylor) - 1)
+            ]
+        elif f.kind == EXP:
+            k0, k1 = to_mpf(f.a * x), abs(to_mpf(f.a)) * s
+            shift = k1 / 2
+        else:
+            spread = abs(to_mpf(f.a)) * s
+        gammas = [mp.gamma(mp.mpf(j + 1) / 2) for j in range(len(majorant))]
+
+        def log_strip(a):
+            # log of the bound on M for the strip |Im u| < a
+            total = mp.fsum(
+                q * math.comb(k, j) * (a + shift) ** (k - j) * gammas[j]
+                for k, q in enumerate(majorant) for j in range(k + 1)
             )
-        return fine
+            return a * a + k0 + shift**2 + spread * a + mp.log(total)
+
+        a = start = mp.sqrt(max(log_budget, 1))
+        for _ in range(2):
+            a = mp.sqrt(max(log_strip(a) - a * a - spread * a + log_budget, 1))
+        h = 2 * mp.pi * a / mp.log(1 + mp.exp(log_strip(a) + log_budget))
+        mantissa, exponent = mp.frexp(h * s)
+        step = Fraction(int(mantissa * 128), 128) * Fraction(2) ** exponent
+        h = to_mpf(step) / s
+
+        def tail(J):
+            # bound on sum_{j >= J} h |g(j h)|, and on the same sum over -j
+            rho = (1 + mp.mpf(1) / J) ** (len(majorant) - 1) * mp.exp(k1 * h - (2 * J + 1) * h * h)
+            u = J * h
+            bound = h * mp.exp(k0 + k1 * u - u * u) * mp.polyval(majorant[::-1], u)
+            return bound / (1 - rho) if rho < 1 else mp.inf
+
+        last = (3 * quad_order + 1) // 2  # the largest J with 2J - 1 <= 3 quad_order
+        J = max(1, int(start / h))
+        while J <= last and tail(J) > mp.exp(-log_budget):
+            J += 1
+        if J > last:
+            raise QuadratureNotConverged(
+                f"tol {mp.nstr(to_mpf(tol), 3)} needs more than 3*quad_order = {3 * quad_order}"
+                f" nodes: at h = {mp.nstr(h, 3)}, the tail bound beyond |u| = "
+                f"{mp.nstr(last * h, 3)} is {mp.nstr(2 * scale * tail(last), 3)}"
+            )
+        weights, decay, shrink, ratio = [], h, mp.exp(-h * h), mp.exp(-2 * h * h)
+        for j in range(J):  # h H_r(j h) e^{-(j h)^2}, stepping e^{-(2j + 1) h^2}
+            weights.append(mp.polyval(hermite[::-1], j * h) * decay)
+            decay, shrink = decay * shrink, shrink * ratio
+        weights = [(-1) ** r * w for w in weights[:0:-1]] + weights
+        factor, g = f.shifted(x - (J - 1) * step)
+        values = list(islice(g.values_iter(step), 2 * J - 1))
+        return scale * factor * mp.fdot(weights, values)
 
 
 BERNSTEIN = make_family(

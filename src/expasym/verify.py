@@ -78,6 +78,7 @@ class ConvergenceReport:
     r_squared: float | None
     ratio_track: tuple[float | None, ...]
     passed: bool
+    noise_floor: Rat  # residuals at or below it read as exact; text output only
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,7 +119,12 @@ class ConvergenceReport:
             lines.append(
                 f"  n={n}  residual={format_number(self.residuals[i])}"
             )
-        order = "exact" if self.fitted_order is None else f"{self.fitted_order:.4f}"
+        if self.fitted_order is not None:
+            order = f"{self.fitted_order:.4f}"
+        elif all(abs_le(res, self.noise_floor) for res in self.residuals):
+            order = "exact"
+        else:
+            order = "not fitted"
         rsq = "-" if self.r_squared is None else f"{self.r_squared:.6f}"
         lines.append(f"fitted order: {order}  r^2: {rsq}")
         lines.append(f"pass: {str(self.passed).lower()}")
@@ -246,6 +252,7 @@ def residual_study(
         r_squared=rsq,
         ratio_track=_ratio_track(residuals, floor),
         passed=passed,
+        noise_floor=floor,
     )
 
 
@@ -284,7 +291,9 @@ def voronovskaja_study(
 ) -> ConvergenceReport:
     """Tracks d_n = n[(S_n f)^{(r)}(x) - f^{(r)}(x)] - (phi f'')^{(r)}(x)/2.
     Since d_n ~ c/n, passing means |d_n| decreasing with doubling ratios
-    inside RATIO_BAND on the upper half of the grid (or d_n exactly 0)."""
+    inside RATIO_BAND on the upper half of the grid (or d_n exactly 0).  The
+    order is fitted only when at least three d_n lie above the noise floor
+    16 tol max(grid)."""
     x = _as_rat(x)
     f.require_order(r + 4)
     family.require_point(x, interior=True)
@@ -307,12 +316,10 @@ def voronovskaja_study(
             if t is not None
         )
         passed = decreasing and in_band
-    try:
-        slope, r_squared = fit_order(grid, residuals, floor=floor)
-        fitted: float | None = slope
-        rsq: float | None = r_squared
-    except (AllResidualsZero, ValueError):
-        fitted, rsq = None, None
+    fitted: float | None = None
+    rsq: float | None = None
+    if sum(not abs_le(d, floor) for d in residuals) >= 3:
+        fitted, rsq = fit_order(grid, residuals, floor=floor)
     return ConvergenceReport(
         family_id=family.id,
         f=f.describe(),
@@ -327,6 +334,7 @@ def voronovskaja_study(
         r_squared=rsq,
         ratio_track=track,
         passed=passed,
+        noise_floor=floor,
     )
 
 

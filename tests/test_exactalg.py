@@ -14,13 +14,23 @@ from expasym.exactalg import (
     poly_gcd,
 )
 
-rationals = st.fractions(
-    min_value=-4, max_value=4, max_denominator=6
+# {p/q : 1 <= q <= 6, |p/q| <= 4}, drawn without filters or rounding; 0
+# comes first, so examples shrink towards it
+RATIONAL_VALUES = sorted(
+    {F(p, q) for q in range(1, 7) for p in range(-4 * q, 4 * q + 1)},
+    key=lambda v: (v.denominator, abs(v), v < 0),
 )
+rationals = st.sampled_from(RATIONAL_VALUES)
+nonzero_rationals = st.sampled_from(RATIONAL_VALUES[1:])
 small_polys = st.lists(rationals, min_size=0, max_size=5).map(
     lambda c: Poly(tuple(c))
 )
-nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
+# degree 0..4: up to four coefficients, then a nonzero leading one
+nonzero_polys = st.builds(
+    lambda low, lead: Poly((*low, lead)),
+    st.lists(rationals, max_size=4),
+    nonzero_rationals,
+)
 ratfuncs = st.builds(RatFuncN, small_polys, nonzero_polys)
 moment_polys = st.dictionaries(
     st.integers(min_value=0, max_value=4), ratfuncs, max_size=4
@@ -252,7 +262,7 @@ class TestLaurent:
     @given(
         st.dictionaries(
             st.integers(min_value=0, max_value=6),
-            rationals.filter(bool),
+            nonzero_rationals,
             max_size=5,
         )
     )

@@ -429,12 +429,61 @@ class TestGaussWeierstrass:
             want = mp.exp(mp.mpf(1.5) + mp.mpf(1) / 64)
             assert abs(got - want) <= tol_mpf()
 
+    @pytest.mark.parametrize("tol, bits", [(F(1, 10**30), 256), (F(1, 10**60), 320)])
+    @pytest.mark.parametrize("n", [1, 64, 4096])
+    def test_closed_forms_within_tol(self, tol, bits, n):
+        # W_n e^{at}(x)^{(r)} = a^r e^{ax + a^2/(2n)} and
+        # W_n sin(at + b)^{(r)}(x) = a^r e^{-a^2/(2n)} sin(ax + b + r pi/2)
+        exp_f = SmoothFunction.exponential(F(3, 2))
+        sin_f = SmoothFunction.sinusoid(2, F(1, 3))
+        with mp.workprec(bits + 64):
+            for x in (F(-2), F(0), F(3, 2)):
+                xm = to_mpf(x)
+                for r in range(4):
+                    got = gauss_weierstrass_eval(exp_f, n, x, r, tol=tol, prec=bits)
+                    a = mp.mpf(3) / 2
+                    want = a**r * mp.exp(a * xm + a * a / (2 * n))
+                    assert abs(got - want) <= to_mpf(tol)
+                    got = gauss_weierstrass_eval(sin_f, n, x, r, tol=tol, prec=bits)
+                    a, b = mp.mpf(2), mp.mpf(1) / 3
+                    want = a**r * mp.exp(-a * a / (2 * n)) * mp.sin(a * xm + b + r * mp.pi / 2)
+                    assert abs(got - want) <= to_mpf(tol)
+
+    @pytest.mark.parametrize("x", [F(-2), F(2)])
+    @pytest.mark.parametrize("n", [1, 64, 4096])
+    def test_degree_8_central_moment(self, x, n):
+        # (s-1)!!/n^{s/2} for s = 8
+        got = central_moment_direct(GAUSS_WEIERSTRASS, n, x, 8)
+        assert abs(got - to_mpf(F(105, n**4))) <= tol_mpf()
+
     def test_unresolvable_oscillation_raises(self):
         # phase keeps the integrand from being odd, which symmetric nodes
         # would integrate to an exact (and misleading) zero
         wild = SmoothFunction.sinusoid(50, 1)
-        with pytest.raises(QuadratureNotConverged):
+        with pytest.raises(QuadratureNotConverged) as refusal:
             gauss_weierstrass_eval(wild, 1, F(0), quad_order=16)
+        message = str(refusal.value)
+        assert "tail bound" in message and "tol 1.0e-30" in message
+
+    def test_quad_order_caps_the_node_count(self, values_pulled):
+        # the same oscillation needs about 235 nodes: 3 * 128 allows them
+        wild = SmoothFunction.sinusoid(50, 1)
+        with pytest.raises(QuadratureNotConverged):
+            gauss_weierstrass_eval(wild, 1, F(0))
+        values_pulled[0] = 0
+        got = gauss_weierstrass_eval(wild, 1, F(0), quad_order=128)
+        assert 3 * 64 < values_pulled[0] <= 3 * 128
+        want = mp.exp(-1250) * mp.sin(1)  # a^2/(2n) = 1250
+        assert abs(got - want) <= tol_mpf()
+
+    def test_nodes_at_default_tol(self, values_pulled):
+        # one sum, sized from tol: well under the 3 * 64 cap
+        gauss_weierstrass_eval(EXP1, 64, F(1), 2)
+        assert 0 < values_pulled[0] <= 80
+
+    def test_zero_polynomial(self):
+        # no strip bound to size the rule from: the value is 0 outright
+        assert gauss_weierstrass_eval(SmoothFunction.polynomial([0]), 4, F(1), 2) == 0
 
     def test_small_quad_order_rejected(self):
         with pytest.raises(ValueError):

@@ -330,6 +330,20 @@ class TestReports:
         b = json.dumps(self._sample().to_json_dict(), sort_keys=True)
         assert a == b
 
+    def test_unfitted_order_labels(self):
+        # every residual at or below the floor reads as exact; residuals
+        # above it that are too few to fit read as not fitted
+        linear = SmoothFunction.polynomial([3, -2])
+        exp1 = SmoothFunction.exponential(1)
+        exact = voronovskaja_study(SZASZ, linear, F(1), 0, (8, 16, 32))
+        assert "fitted order: exact  r^2: -" in exact.to_text()
+        short = voronovskaja_study(SZASZ, exp1, F(1), 0, (64, 128))
+        assert short.fitted_order is None and short.passed
+        assert "fitted order: not fitted  r^2: -" in short.to_text()
+        one_left = residual_study(BERNSTEIN, exp1, F(2, 5), 0, 6, (512, 1024, 2048))
+        assert one_left.fitted_order is None
+        assert "fitted order: not fitted  r^2: -" in one_left.to_text()
+
     def test_exact_values_render_as_rationals(self):
         payload = self._sample().to_json_dict()
         got = payload["values"][0]
