@@ -540,8 +540,8 @@ def gauss_weierstrass_eval(
     |e^{-(v+iy)^2}| = e^{y^2 - v^2}, M <= e^{a^2 + k} times the integral of
     Q(|w| + c) e^{-w^2}, which is sum_j [Q(. + c)]_j Gamma((j+1)/2), where
     Q has the absolute coefficients of H_r and
-      poly: also those of f's Taylor polynomial at x, the j-th times s^j;
-            k = 0, c = a;
+      poly: times the absolute Taylor polynomial of f at x, its j-th
+            coefficient times s^j; k = 0, c = a;
       exp:b: |f| = e^{b(x + v s)}, and completing the square gives
             k = b x + (b s)^2/4, c = a + |b| s/2;
       sin:b,_: |f| <= cosh(b y s), so k = |b| s a, c = a.
