@@ -14,7 +14,9 @@ E collects lambda_n's numerator and mu_1's denominators, so no step takes
 a gcd and the table is exact.  Each entry is normalised once, when it is
 first built as a MomentPoly: for E = d n^t (every built-in and every
 c*phi family) by stripping the common power of n and dividing by d^s,
-otherwise by one RatFuncN reduction per coefficient.
+otherwise by one RatFuncN reduction per coefficient against (kE)^s, which
+is kept from one order to the next.  That reduction is integer-only: a
+primitive gcd and exact integer division, with no Fraction long division.
 
 For lambda_n = n the expansion of mu_{n,s} in powers of 1/n is finite
 with polynomial coefficients g_{s,j} (moment_expansion), the deepest
@@ -40,7 +42,6 @@ from .exactalg import (
     Poly,
     RatFuncN,
     laurent_at_infinity,
-    poly_gcd,
 )
 from .operators import OperatorFamily
 
@@ -114,17 +115,19 @@ class _Recursion:
 
         N_{s+1} = kA N_s + kC (s kE N_{s-1} + d/dx N_s)
 
-    over Python ints, with no gcd taken.  Holds N_{s-1}, N_s and the
-    MomentPolys built so far, but not the family, so the weak cache entry
+    over Python ints, with no gcd taken.  Holds N_{s-1}, N_s, (kE)^s and
+    the MomentPolys built so far, but not the family, so the weak cache entry
     that owns it goes with the family."""
 
     def __init__(self, family: OperatorFamily) -> None:
         lam, mu1 = family.lambda_n, family.mu1
+        # reducing B/den leaves den over gcd(B, den), monic, as the
+        # denominator, and the monic quotient B/den when den divides B
         B = Poly.const(1)
         for _p, c in mu1.items():  # monic lcm
-            B = divmod(B * c.den, poly_gcd(B, c.den))[0]
+            B = B * RatFuncN(B, c.den).den
         E = lam.num * B
-        A = [(p, divmod(B, c.den)[0] * c.num * lam.num) for p, c in mu1.items()]
+        A = [(p, RatFuncN(B, c.den).num * c.num * lam.num) for p, c in mu1.items()]
         C = [(p, lam.den * B * c) for p, c in enumerate(family.phi.coeffs) if c]
         k = math.lcm(
             *(v.denominator for _p, c in [*A, *C, (0, E)] for v in c.coeffs)
@@ -137,6 +140,7 @@ class _Recursion:
         # (t, d) when kE = d n^t, which puts every entry over d^s n^(ts)
         e_terms = [(j, d) for (_i, j), d in kE.items()]
         self.monomial = e_terms[0] if len(e_terms) == 1 else None
+        self.kE_power = Poly.const(1)  # (kE)^s of the last entry built
         self.previous: _Bivariate = {}
         self.current: _Bivariate = {(0, 0): 1}
         self.moments: list[MomentPoly] = [MomentPoly.const(1)]
@@ -152,13 +156,17 @@ class _Recursion:
             self.moments.append(self._moment(s + 1))
 
     def _moment(self, s: int) -> MomentPoly:
-        """N_s / (k^s E^s) as a MomentPoly, one normalisation per entry."""
+        """N_s / (k^s E^s) as a MomentPoly, one normalisation per entry.
+
+        Called once per order, in order, so (kE)^s takes one multiplication
+        by kE; each coefficient of a general family is then one RatFuncN
+        reduction over the integers."""
         by_power: dict[int, dict[int, int]] = {}
         for (i, j), v in self.current.items():
             by_power.setdefault(i, {})[j] = v
         terms = []
         if self.monomial is None:
-            den = self.kE**s
+            den = self.kE_power = self.kE_power * self.kE
             for i, c in by_power.items():
                 num = Poly(tuple(c.get(j, 0) for j in range(max(c) + 1)))
                 terms.append((i, RatFuncN(num, den)))

@@ -1,20 +1,28 @@
-"""The hooks that perfbench/tracer.py installs must exist in the package.
+"""The hooks that perfbench/tracer.py installs must exist in the package,
+and a traced benchmark worker must run.
 
 A traced benchmark worker exits at start-up when a function the tracer
 wraps has been renamed or removed, or when ``SmoothFunction.values_iter``
 no longer takes ``(self, step)``; no other test would notice.  The tracer
 is loaded by path and only read, never installed, so the package under
-test stays unwrapped.
+test stays unwrapped.  One traced ``symbolic_cold`` worker then runs in its
+own process: import, tracer install, the seeded warm-up and one full pass.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from expasym.functions import SmoothFunction
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+WORKER = ROOT / "perfbench" / "worker.py"
 
 
 def _load_tracer():
@@ -39,3 +47,16 @@ def test_wrapped_functions_resolve():
 def test_values_iter_takes_self_and_step():
     params = list(inspect.signature(SmoothFunction.values_iter).parameters)
     assert params == ["self", "step"]
+
+
+def test_traced_symbolic_worker_runs_one_pass(tmp_path):
+    argv = [sys.executable, str(WORKER), "--workload", "symbolic_cold",
+            "--mode", "trace", "--seconds", "0.01", "--seed", "2",
+            "--trace-dir", str(tmp_path)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["attempted"] > 0
+    assert (result["wrong"], result["failed"]) == (0, 0)

@@ -9,6 +9,7 @@ from expasym.exactalg import (
     MomentPoly,
     Poly,
     RatFuncN,
+    _exact_quotient,
     format_rat,
     laurent_at_infinity,
     poly_gcd,
@@ -97,6 +98,17 @@ class TestPoly:
         assert divmod(b, g)[1].is_zero
 
 
+def reference_reduction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """The reduction over the rationals: monic gcd, Fraction long division,
+    then scaling to a monic denominator."""
+    if num.is_zero:
+        return Poly(), Poly.const(1)
+    common = poly_gcd(num, den)
+    num, den = divmod(num, common)[0], divmod(den, common)[0]
+    scale = 1 / den.lead
+    return num * scale, den * scale
+
+
 class TestRatFuncN:
     def test_reduction(self):
         r = RatFuncN(Poly((-1, 0, 1)), Poly((-1, 1)))  # (n^2-1)/(n-1)
@@ -110,6 +122,39 @@ class TestRatFuncN:
     def test_zero_denominator_raises(self):
         with pytest.raises(DenominatorZero):
             RatFuncN(Poly.const(1), Poly(()))
+
+    @pytest.mark.parametrize(
+        "num, den, want_num, want_den",
+        [
+            # 6(n+1)(n+2) / (4(n+1)(n-3)): the gcd has integer content 2
+            (Poly((12, 18, 6)), Poly((-12, -8, 4)), Poly((3, F(3, 2))), Poly((-3, 1))),
+            # negative leading coefficient in the denominator
+            (Poly((1, 1)), Poly((F(1, 2), 0, -2)), Poly((F(-1, 2), F(-1, 2))), Poly((F(-1, 4), 0, 1))),
+            # denominator of degree 0
+            (Poly((6, 3)), Poly.const(-3), Poly((-2, -1)), Poly.const(1)),
+            # zero numerator
+            (Poly(), Poly((F(2, 3), 5)), Poly(), Poly.const(1)),
+        ],
+    )
+    def test_integer_reduction_cases(self, num, den, want_num, want_den):
+        r = RatFuncN(num, den)
+        assert (r.num, r.den) == (want_num, want_den)
+        assert (r.num, r.den) == reference_reduction(num, den)
+
+    @given(nonzero_polys, nonzero_polys, nonzero_polys)
+    def test_integer_reduction_matches_rational(self, num, den, common):
+        for a, b in ((num, den), (num * common, den * common)):
+            r = RatFuncN(a, b)
+            want_num, want_den = reference_reduction(a, b)
+            assert r.num.coeffs == want_num.coeffs
+            assert r.den.coeffs == want_den.coeffs
+
+    def test_inexact_integer_quotient_raises(self):
+        assert _exact_quotient([2, 3, 1], [1, 1]) == [2, 1]  # (n+1)(n+2)/(n+1)
+        with pytest.raises(ArithmeticError):
+            _exact_quotient([1, 0, 1], [1, 1])  # n^2 + 1 = (n+1)(n-1) + 2
+        with pytest.raises(ArithmeticError):
+            _exact_quotient([1, 3], [1, 2])  # the leading step is inexact
 
     def test_order_at_infinity(self):
         n = RatFuncN.index()
