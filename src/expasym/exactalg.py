@@ -8,9 +8,7 @@ Representation conventions used everywhere downstream:
 * ``Poly`` stores ascending coefficients ``(c0, c1, ...)`` with no trailing
   zeros; the zero polynomial is the empty tuple and has degree -1.
 * ``RatFuncN`` is a quotient of polynomials in the index n, kept coprime with
-  a monic denominator, so equal values compare equal structurally.  The
-  reduction works over the integers: denominators cleared, a primitive gcd,
-  exact integer division by it, one Fraction per coefficient at the end.
+  a monic denominator, so equal values compare equal structurally.
 * ``MomentPoly`` is a polynomial in x whose coefficients are RatFuncN.  That
   is exactly the shape of a central moment mu_{n,s}(x) and of everything the
   expansion machinery manipulates.
@@ -214,10 +212,10 @@ def _as_poly(value: Poly | Scalar) -> Poly:
     return Poly.const(_as_rat(value))
 
 
-def _integer_coeffs(p: Poly) -> tuple[list[int], int]:
-    """Coefficients of p times the lcm D of their denominators, and D."""
+def _integer_coeffs(p: Poly) -> list[int]:
+    """Coefficients of p times the lcm of their denominators."""
     scale = math.lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (scale // c.denominator) for c in p.coeffs], scale
+    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
 
 
 def _primitive(coeffs: list[int]) -> list[int]:
@@ -244,50 +242,23 @@ def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
     return u
 
 
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b for integer polynomials where b divides a in Z[x].
-
-    By Gauss's lemma that holds whenever b is primitive and divides a over
-    the rationals, as a primitive gcd does.  Integer long division; a step
-    that leaves a remainder, or a nonzero remainder at the end, raises."""
-    rem = list(a)
-    top, lead = len(b) - 1, b[-1]
-    quot = [0] * (len(a) - top)
-    for shift in range(len(quot) - 1, -1, -1):
-        q, r = divmod(rem[shift + top], lead)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        quot[shift] = q
-        if q:
-            for i in range(top):
-                rem[shift + i] -= q * b[i]
-    if any(rem[:top]):
-        raise ArithmeticError("inexact polynomial division")
-    return quot
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over the rationals; gcd(0, 0) = 0.
 
     Denominators are cleared and the gcd is taken over the integers by the
     primitive remainder sequence, whose coefficients stay far smaller than
     those of Euclid over Fraction.  The monic gcd is unique, so the method
-    does not show in the result.  RatFuncN does not call this: it keeps the
-    primitive integer gcd and divides by it exactly."""
+    does not show in the result."""
     if a.is_zero or b.is_zero:
         rest = b if a.is_zero else a
         return rest if rest.is_zero else rest * (1 / rest.lead)
-    common = _primitive_gcd(_integer_coeffs(a)[0], _integer_coeffs(b)[0])
+    common = _primitive_gcd(_integer_coeffs(a), _integer_coeffs(b))
     return Poly(tuple(Fraction(c, common[-1]) for c in common))
 
 
 @dataclass(frozen=True)
 class RatFuncN:
-    """Rational function of the index n: coprime num/den with monic den.
-
-    Built from any num/den: both are scaled to integer polynomials, divided
-    exactly by their primitive gcd (an integer quotient by Gauss's lemma),
-    and den's leading coefficient is then divided out of both."""
+    """Rational function of the index n: coprime num/den with monic den."""
 
     num: Poly = Poly()
     den: Poly = Poly((Fraction(1),))
@@ -303,18 +274,12 @@ class RatFuncN:
         if num.is_zero:
             num, den = Poly(), Poly.const(1)
         else:
-            # over the integers: num = a/a_scale, den = b/b_scale, and the
-            # primitive gcd divides a and b exactly
-            a, a_scale = _integer_coeffs(num)
-            b, b_scale = _integer_coeffs(den)
-            if len(a) > 1 and len(b) > 1:
-                common = _primitive_gcd(a, b)
-                if len(common) > 1:
-                    a, b = _exact_quotient(a, common), _exact_quotient(b, common)
-            lead = b[-1]
-            num_den = a_scale * lead
-            num = Poly(tuple(Fraction(c * b_scale, num_den) for c in a))
-            den = Poly(tuple(Fraction(c, lead) for c in b))
+            common = poly_gcd(num, den)
+            if common.degree > 0:
+                num = divmod(num, common)[0]
+                den = divmod(den, common)[0]
+            scale = 1 / den.lead
+            num, den = num * scale, den * scale
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

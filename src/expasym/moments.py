@@ -15,8 +15,7 @@ a gcd and the table is exact.  Each entry is normalised once, when it is
 first built as a MomentPoly: for E = d n^t (every built-in and every
 c*phi family) by stripping the common power of n and dividing by d^s,
 otherwise by one RatFuncN reduction per coefficient against (kE)^s, which
-is kept from one order to the next.  That reduction is integer-only: a
-primitive gcd and exact integer division, with no Fraction long division.
+is kept from one order to the next.
 
 For lambda_n = n the expansion of mu_{n,s} in powers of 1/n is finite
 with polynomial coefficients g_{s,j} (moment_expansion), the deepest
@@ -42,6 +41,7 @@ from .exactalg import (
     Poly,
     RatFuncN,
     laurent_at_infinity,
+    poly_gcd,
 )
 from .operators import OperatorFamily
 
@@ -116,18 +116,16 @@ class _Recursion:
         N_{s+1} = kA N_s + kC (s kE N_{s-1} + d/dx N_s)
 
     over Python ints, with no gcd taken.  Holds N_{s-1}, N_s, (kE)^s and
-    the MomentPolys built so far, but not the family, so the weak cache entry
-    that owns it goes with the family."""
+    the MomentPolys built so far, but not the family, so the weak cache
+    entry that owns it goes with the family."""
 
     def __init__(self, family: OperatorFamily) -> None:
         lam, mu1 = family.lambda_n, family.mu1
-        # reducing B/den leaves den over gcd(B, den), monic, as the
-        # denominator, and the monic quotient B/den when den divides B
         B = Poly.const(1)
         for _p, c in mu1.items():  # monic lcm
-            B = B * RatFuncN(B, c.den).den
+            B = divmod(B * c.den, poly_gcd(B, c.den))[0]
         E = lam.num * B
-        A = [(p, RatFuncN(B, c.den).num * c.num * lam.num) for p, c in mu1.items()]
+        A = [(p, divmod(B, c.den)[0] * c.num * lam.num) for p, c in mu1.items()]
         C = [(p, lam.den * B * c) for p, c in enumerate(family.phi.coeffs) if c]
         k = math.lcm(
             *(v.denominator for _p, c in [*A, *C, (0, E)] for v in c.coeffs)
@@ -160,7 +158,7 @@ class _Recursion:
 
         Called once per order, in order, so (kE)^s takes one multiplication
         by kE; each coefficient of a general family is then one RatFuncN
-        reduction over the integers."""
+        reduction."""
         by_power: dict[int, dict[int, int]] = {}
         for (i, j), v in self.current.items():
             by_power.setdefault(i, {})[j] = v

@@ -6,7 +6,10 @@ wraps has been renamed or removed, or when ``SmoothFunction.values_iter``
 no longer takes ``(self, step)``; no other test would notice.  The tracer
 is loaded by path and only read, never installed, so the package under
 test stays unwrapped.  One traced ``symbolic_cold`` worker then runs in its
-own process: import, tracer install, the seeded warm-up and one full pass.
+own process: import, tracer install, the seeded warm-up and one full pass,
+which catches a worker that crashes at start-up or reports a wrong or
+failed job.  At 0.01 s of timed work it does not see whether a full run at
+the benchmark's ``--seconds`` fits ``perfbench/run.py``'s time budget.
 """
 
 import importlib
