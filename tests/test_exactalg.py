@@ -148,6 +148,7 @@ class TestRatFuncN:
             want_num, want_den = reference_reduction(a, b)
             assert r.num.coeffs == want_num.coeffs
             assert r.den.coeffs == want_den.coeffs
+        assert RatFuncN(num * common, den * common) == RatFuncN(num, den)
 
     def test_order_at_infinity(self):
         n = RatFuncN.index()
