@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp
 
 from expasym.exactalg import Poly, RatFuncN
-from expasym.functions import SmoothFunction, to_mpf
+from expasym.functions import SmoothFunction, parse_function, to_mpf
 from expasym.operators import (
     BASKAKOV,
     BERNSTEIN,
@@ -402,6 +402,52 @@ class TestSeriesWindow:
             assert abs(coarse - want) <= to_mpf(tol)
             operator_eval(BERNSTEIN, EXP1, n, x, r)
             assert coarse_pulled < values_pulled[0]
+
+
+# (family, f, n, x, r, tol, values pulled), recorded before the series kernel
+# moved to fixed point; the kernel must cut the same window [L, U]
+WINDOW_PIN = [
+    ("bernstein", "exp:1", 7, F(11, 16), 3, "1e-12", 8),
+    ("szasz", "exp:-2", 64, F(13, 8), 3, "1e-30", 257),
+    ("baskakov", "poly:1,-2,1/3,5/7", 64, F(31, 8), 2, "1e-60", 1397),
+    ("bernstein", "sin:3/2,1/3", 1000, F(1, 4), 2, "1e-12", 249),
+    ("szasz", "exp:1", 1000, F(17, 4), 1, "1e-30", 1643),
+    ("baskakov", "sin:3/2,1/3", 64, F(2, 1), 1, "1e-60", 725),
+    ("bernstein", "exp:-2", 1000, F(5, 8), 1, "1e-12", 251),
+    ("szasz", "poly:1,-2,1/3,5/7", 64, F(5, 2), 2, "1e-30", 323),
+    ("baskakov", "exp:1", 1000, F(13, 4), 1, "1e-60", 4083),
+    ("bernstein", "exp:-2", 4096, F(9, 16), 2, "1e-12", 597),
+    ("szasz", "exp:-2", 1000, F(39, 8), 2, "1e-30", 1793),
+    ("baskakov", "exp:1", 1000, F(31, 8), 1, "1e-60", 4790),
+    ("bernstein", "sin:3/2,1/3", 64, F(1, 4), 1, "1e-12", 47),
+    ("szasz", "poly:1,-2,1/3,5/7", 64, F(27, 8), 3, "1e-30", 390),
+    ("baskakov", "exp:1", 64, F(19, 4), 2, "1e-60", 1798),
+    ("bernstein", "exp:-2", 1000, F(13, 16), 3, "1e-12", 244),
+    ("szasz", "exp:1", 4096, F(5, 4), 3, "1e-30", 1979),
+    ("baskakov", "sin:3/2,1/3", 4096, F(3, 4), 1, "1e-60", 2500),
+    ("bernstein", "exp:-2", 7, F(9, 16), 2, "1e-12", 8),
+    ("szasz", "sin:3/2,1/3", 4096, F(19, 4), 0, "1e-30", 3232),
+    ("baskakov", "sin:3/2,1/3", 7, F(31, 8), 3, "1e-60", 792),
+    ("bernstein", "sin:3/2,1/3", 64, F(7, 16), 3, "1e-12", 63),
+    ("szasz", "sin:3/2,1/3", 1000, F(13, 4), 2, "1e-30", 1464),
+    ("baskakov", "sin:3/2,1/3", 1000, F(11, 4), 2, "1e-60", 3563),
+    ("bernstein", "exp:1", 4096, F(3, 4), 0, "1e-12", 407),
+    ("szasz", "poly:1,-2,1/3,5/7", 64, F(11, 8), 3, "1e-30", 243),
+    ("baskakov", "exp:1", 16384, F(9, 2), 3, "1e-60", 23628),
+    ("bernstein", "exp:-2", 7, F(1, 16), 2, "1e-12", 8),
+    ("szasz", "poly:1,-2,1/3,5/7", 4096, F(31, 8), 3, "1e-30", 3571),
+    ("baskakov", "poly:1,-2,1/3,5/7", 64, F(15, 8), 1, "1e-60", 712),
+    ("bernstein", "exp:1", 1000, F(3, 4), 2, "1e-30", 350),
+    ("szasz", "exp:1", 7, F(23, 8), 1, "1e-60", 146),
+    ("baskakov", "sin:3/2,1/3", 64, F(17, 8), 0, "1e-12", 304),
+]
+PIN_TOLS = {"1e-12": F(1, 10**12), "1e-30": F(1, 10**30), "1e-60": F(1, 10**60)}
+
+
+@pytest.mark.parametrize("family, spec, n, x, r, tol, pulled", WINDOW_PIN)
+def test_series_window_is_pinned(values_pulled, family, spec, n, x, r, tol, pulled):
+    operator_eval(FAMILIES[family], parse_function(spec), n, x, r, tol=PIN_TOLS[tol])
+    assert values_pulled[0] == pulled
 
 
 class TestGaussWeierstrass:
