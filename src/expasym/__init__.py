@@ -52,6 +52,7 @@ from .operators import (
     GrowthBoundViolated,
     Interval,
     OperatorFamily,
+    PrecisionTooLow,
     QuadratureNotConverged,
     central_moment_direct,
     get_family,
@@ -98,6 +99,7 @@ __all__ = [
     "OrderTooLarge",
     "PhiVanishes",
     "Poly",
+    "PrecisionTooLow",
     "QuadratureNotConverged",
     "Rat",
     "RatFuncN",

@@ -13,6 +13,7 @@ sin, cos, -sin, -cos so no pi arithmetic enters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -20,11 +21,14 @@ from typing import Sequence
 from mpmath import mp
 
 from .exactalg import Poly, Rat, Scalar, format_rat, _as_rat
-from .numeric import Number, is_exact, to_mpf, working
+from .numeric import Number, is_exact, to_fixed, to_mpf, working
 
 POLY = "poly"
 EXP = "exp"
 SIN = "sin"
+
+# extra bits the exp and sin streams of values_iter carry internally
+_STREAM_GUARD_BITS = 32
 
 
 class DerivativeCapExceeded(ValueError):
@@ -133,30 +137,50 @@ class SmoothFunction:
         return to_mpf(self.a**k) * base
 
     def values_iter(self, step: Rat):
-        """Yield f(j*step) for j = 0, 1, 2, ... as mpf, cheaply.
+        """Yield floor(f(j*step) * 2^bits) for j = 0, 1, 2, ... as ints, with
+        bits = mp.prec when the first value is pulled.
 
-        exp uses a running product of exp(a*step); sin uses the angle
-        addition recurrence; polynomials evaluate pointwise.  Must be
-        consumed inside the precision context it will be measured in."""
+        Polynomials are exact: with step = a/b, D the lcm of the coefficient
+        denominators and d = deg f, q(j) = D b^d f(j a/b) is an integer
+        polynomial in j, stepped by its forward-difference table (d integer
+        additions per value) and floor-divided by D b^d.  exp is a running
+        product by e^(a step), sin a rotation by a step; both carry
+        _STREAM_GUARD_BITS extra bits and round down once per step there,
+        so after j steps a value is off from the floor by one unit plus a
+        small multiple of j 2^-_STREAM_GUARD_BITS max(1, |f|) units."""
         step = _as_rat(step)
+        bits = mp.prec
         if self.kind == POLY:
-            t = Fraction(0)
+            coeffs = self.poly.coeffs
+            a, b = step.numerator, step.denominator
+            d = max(len(coeffs) - 1, 0)
+            lcd = math.lcm(*(c.denominator for c in coeffs))
+            q = [c.numerator * (lcd // c.denominator) * a**i * b ** (d - i) for i, c in enumerate(coeffs)]
+            table = [sum(c * j**i for i, c in enumerate(q)) for j in range(d + 1)]
+            for i in range(1, d + 1):  # table[i] = Delta^i q(0)
+                for j in range(d, i - 1, -1):
+                    table[j] -= table[j - 1]
+            den = lcd * b**d
             while True:
-                yield to_mpf(self.poly(t))
-                t += step
-        elif self.kind == EXP:
-            mult = mp.exp(to_mpf(self.a * step))
-            value = mp.mpf(1)
-            while True:
-                yield value
-                value = value * mult
-        else:
+                yield (table[0] << bits) // den
+                for i in range(d):
+                    table[i] += table[i + 1]
+        inner = bits + _STREAM_GUARD_BITS
+        with mp.workprec(inner):
             delta = to_mpf(self.a * step)
-            sin_d, cos_d = mp.sin(delta), mp.cos(delta)
-            s, c = mp.sin(to_mpf(self.b)), mp.cos(to_mpf(self.b))
+            if self.kind == EXP:
+                mult = to_fixed(mp.exp(delta), inner)
+            else:
+                sin_d, cos_d = to_fixed(mp.sin(delta), inner), to_fixed(mp.cos(delta), inner)
+                s, c = to_fixed(mp.sin(to_mpf(self.b)), inner), to_fixed(mp.cos(to_mpf(self.b)), inner)
+        if self.kind == EXP:
+            value = 1 << inner
             while True:
-                yield s
-                s, c = s * cos_d + c * sin_d, c * cos_d - s * sin_d
+                yield value >> _STREAM_GUARD_BITS
+                value = value * mult >> inner
+        while True:
+            yield s >> _STREAM_GUARD_BITS
+            s, c = (s * cos_d + c * sin_d) >> inner, (c * cos_d - s * sin_d) >> inner
 
     def shifted(self, h: Scalar):
         """(factor, g) with f(t + h) = factor * g(t) for every t.

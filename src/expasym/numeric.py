@@ -7,7 +7,10 @@ precision, coercion to it, arithmetic that stays exact when its inputs are,
 comparison with a rational bound, magnitudes and rendering.
 
 Precision: all floating work uses mpmath at a configurable bit count
-(default 256, minimum 64) plus GUARD_BITS; BigFloat is the mpf type.
+(default 256, minimum 64) plus GUARD_BITS; BigFloat is the mpf type.  The
+long sums of the direct evaluators run in fixed point instead: a value v
+is the Python int floor(v 2^bits) (to_fixed), and only their final total
+comes back to an mpf (from_fixed), in one rounding.
 """
 
 from __future__ import annotations
@@ -43,6 +46,19 @@ def to_mpf(value):
     if isinstance(value, Fraction):
         return mp.mpf(value.numerator) / mp.mpf(value.denominator)
     return mp.mpf(value)
+
+
+def to_fixed(value: BigFloat, bits: int) -> int:
+    """floor(value * 2^bits) for a finite mpf, exactly: an mpf is a dyadic
+    rational."""
+    sign, man, exp, _ = value._mpf_
+    man, shift = -man if sign else man, exp + bits
+    return man << shift if shift >= 0 else man >> -shift
+
+
+def from_fixed(total: int, bits: int) -> BigFloat:
+    """total / 2^bits as an mpf at the ambient precision, rounded once."""
+    return mp.ldexp(mp.mpf(total), -bits)
 
 
 def is_exact(value: Number) -> bool:

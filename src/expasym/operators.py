@@ -29,7 +29,11 @@ floor(n x) for szasz, floor((n+r-1) x) for baskakov): w_m comes from
 log-gamma, and the sum walks left and right from m until each side's tail
 is below a certified geometric bound, built from the weight ratios and
 the declared growth bound of f.  The window holds O(sqrt(n x)) terms, and
-the reported value is within tol of the full sum.
+the reported value is within tol of the full sum.  The walk, the values of
+f and the sum run in fixed point on Python ints (weights stepped by their
+exact rational ratios, values from SmoothFunction.values_iter), and so
+does the trapezoidal sum; a tol finer than the precision can resolve
+raises PrecisionTooLow.
 
 Evaluators return exact Fractions whenever every ingredient is rational,
 else mpf values at the working precision of expasym.numeric.
@@ -40,13 +44,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+import operator
 from itertools import islice
 
 from mpmath import mp
 
 from .exactalg import MomentPoly, Poly, Rat, RatFuncN, Scalar, _as_rat, format_rat
 from .functions import EXP, SmoothFunction
-from .numeric import BigFloat, Number, dot, to_mpf, working
+from .numeric import GUARD_BITS, BigFloat, Number, dot, from_fixed, resolve_precision, to_fixed, to_mpf, working
 
 DEFAULT_TOL = Fraction(1, 10**30)
 
@@ -62,6 +67,20 @@ class GrowthBoundViolated(ValueError):
 class QuadratureNotConverged(ArithmeticError):
     """The trapezoidal rule needs more nodes than quad_order allows to
     certify tol."""
+
+
+class PrecisionTooLow(ValueError):
+    """tol asks for a stop threshold finer than the working precision."""
+
+
+def _precision_too_low(tol: Rat, share: str, value, bits: int) -> PrecisionTooLow:
+    def short(v):
+        return mp.nstr(to_mpf(v), 3)
+
+    return PrecisionTooLow(
+        f"tol {short(tol)} is beyond {bits}-bit precision: {share} = {short(value)}"
+        f" is below the threshold 2^-{bits} = {short(Fraction(1, 2**bits))}"
+    )
 
 
 @dataclass(frozen=True)
@@ -349,6 +368,30 @@ def _bernstein_integer_sum(p: Poly, n: int, r: int, x: Rat) -> Fraction:
     return Fraction(total, b**m * scale * n**degree)
 
 
+def _power_up(num: int, den: int, e: int, bits: int) -> int:
+    """An int R with (num/den)^e <= R / 2^bits and R / 2^bits within about
+    2 log2(e) units of 2^-bits, relative: square-and-multiply with every
+    product rounded up."""
+    base = -((-num << bits) // den)
+    result = 1 << bits
+    while e:
+        if e & 1:
+            result = -(-result * base >> bits)
+        e >>= 1
+        if e:
+            base = -(-base * base >> bits)
+    return result
+
+
+def _stream(factor: BigFloat, g: SmoothFunction, step: Rat, count: int, bits: int) -> tuple[list[int], int]:
+    """The first count values of g.values_iter(step), for f = factor * g,
+    and their scale: bits plus the bits of factor, so that factor times a
+    value is within 2^-bits of f however f was split."""
+    value_bits = bits + max(mp.mag(factor), 0)
+    with mp.workprec(value_bits):
+        return list(islice(g.values_iter(step), count)), value_bits
+
+
 def _series_eval(
     f: SmoothFunction,
     n: int,
@@ -377,8 +420,11 @@ def _series_eval(
     rational stretch covering e^(a/n); the series converges iff
     scale * slope * E < 1.
 
-    The sum starts at m with w_m from log_weight (extra bits absorb the
-    cancellation among its log terms) and walks both ways:
+    The sum runs in fixed point at the working precision P = prec +
+    GUARD_BITS: every weight and value is an int W ~ w 2^P.  W_m is the
+    floor of w_m = exp(log_weight(m)), computed with extra bits that absorb
+    the cancellation among its log terms, and the walk steps both ways by
+    the exact rational weight ratios, W <- W num // den:
 
     * right, the terms beyond U are below w_{U+1} M_{U+1} / (1 - rho) with
       rho = (w_{U+2}/w_{U+1}) (1 + 1/(n+U+1+r))^d E, which bounds every
@@ -386,11 +432,28 @@ def _series_eval(
     * left, the terms below L are below w_{L-1} M_m / (1 - w_{L-2}/w_{L-1}),
       the weight ratio w_{k-1}/w_k increasing in k and M_k <= M_m.
 
-    Each side stops once its bound is under tol / (4 * prefactor), so the
-    two tails stay within tol / (2 * prefactor); the other half of tol is
-    the rounding margin.  Ratios are kept in mpf; drift along the window
-    is ~(U - L) ulp at working precision.  The values f((L + j)/n) come
-    from one values_iter stream of f shifted by L/n."""
+    Each side stops once its bound, with W_k / 2^P for w_k, is under the
+    side tolerance tol / (4 * prefactor), compared exactly over the
+    integers: E^(k+r) is bounded above by _power_up once and stepped with
+    products rounded up, the rest of M_k and rho is exact.  So the two
+    tails stay within tol / (2 * prefactor); the other half of tol is the
+    rounding margin.  A side tolerance below 2^-prec raises
+    PrecisionTooLow: with guard bits fewer than 32, the stop threshold
+    would be no more than a few units of 2^-P.
+
+    Rounding: each step floors once, and every ratio is at most 1 going
+    away from the mode, so |W_k - w_k 2^P| <= |k - m| + 2.  The values
+    f((L + j)/n) are one values_iter stream of f shifted by L/n, each V_j
+    within one unit of f 2^P for polynomials (a few for exp and sin); their
+    r-th differences and the dot product sum_k W_k Delta^r V_k are exact
+    ints, off from 2^(2P) sum_k w_k Delta^r v_k by at most
+    sum_k (2^r W_k e_V + (|k - m| + 2) |Delta^r V_k|) units of 2^-2P, with
+    e_V the value error.  The total becomes an mpf once, at the end; a
+    running bound on all of this is not kept."""
+    bits = resolve_precision(prec)
+    side_tol = Fraction(tol) / (4 * prefactor)
+    if side_tol < Fraction(1, 2**bits):
+        raise _precision_too_low(tol, f"tol/(4*{prefactor})", side_tol, bits)
     if x == 0:
         return prefactor * forward_difference(f, Fraction(0), Fraction(1, n), r, prec)
     growth_const, growth_deg, growth_rate = f.halfline_majorant()
@@ -403,67 +466,87 @@ def _series_eval(
     mode = math.floor(scale * (offset - slope) / (1 - scale * slope))
     # the log-gamma terms of log w_m are below (m + offset + 2) log2(m + offset + 2)
     log_size = (mode + offset + 2) * (mode + offset + 2).bit_length()
-    with working(prec):
-        scale_m = to_mpf(scale)
-        stretch_m = to_mpf(stretch)
-        bound_const = to_mpf(growth_const * 2**r)
-        side_tol = to_mpf(tol) / (4 * prefactor)
-        with mp.extraprec(log_size.bit_length() + 4):
-            w_mode = mp.exp(log_weight(mode))
-        w_mode = +w_mode
+    a, b = scale.numerator, scale.denominator
+    sp, sq = stretch.numerator, stretch.denominator
+    d = growth_deg
+    c = Fraction(growth_const) * 2**r
+    # 2^room <= side_tol 2^prec: a term bound w_k M_k above 2^room is refused
+    room = ((side_tol.numerator << bits) // side_tol.denominator).bit_length() - 1
+    P = bits + GUARD_BITS
+    B = P + (mode + r).bit_length() + 8
+    mode_power = _power_up(sp, sq, mode + r, B)  # E^(m+r) <= mode_power / 2^B
+    stretch_up = -((-sp << B) // sq)
+    c_num, c_den, tol_num, tol_den = c.numerator, c.denominator, side_tol.numerator, side_tol.denominator
+    unit = c_den * n**d << B  # M_k = growth_k / unit, growth_k = c_num (n+k+r)^d power
 
-        def ratio(k: int) -> BigFloat:
-            # w_{k+1}/w_k
-            return scale_m * (offset + slope * k) / (k + 1)
+    def refuse(term, k, Q):
+        return _precision_too_low(
+            tol, f"tol/(4*{prefactor}) over the term bound at t = {format_rat(Fraction(k, n))}",
+            side_tol * (unit << Q) / term, bits,
+        )
 
-        def left_ratio(k: int) -> BigFloat:
-            # w_{k-1}/w_k, for 1 <= k <= m
-            return k / (scale_m * (offset + slope * (k - 1)))
-
-        def poly_growth(k: int) -> BigFloat:
-            # (1 + (k+r)/n)^d, the polynomial part of M_k
-            return (1 + mp.mpf(k + r) / n) ** growth_deg
-
-        top = bound_const * poly_growth(mode) * stretch_m ** (mode + r)
+    def walk(Q):
+        """(L, [W_L, ..., W_U] at scale 2^Q, the bits of M_{U+1})."""
+        # a side stops once W_k M_k / 2^Q < side_tol (1 - num/den), num/den
+        # its ratio, that is W_k growth_k tol_den den < rhs (den - num); a
+        # term bound W_k growth_k at cap or above is refused
+        rhs = tol_num * c_den * n**d << (Q + B)
+        cap = unit << (Q + room)
+        w_m = to_fixed(w_mode, Q)
+        top = c_num * (n + mode + r) ** d * mode_power
+        if w_m * top >= cap:
+            raise refuse(w_m * top, mode, Q)
+        top *= tol_den
         left = []
-        weight, low = w_mode, mode
-        shrink = left_ratio(low) if low else 0
+        weight, low = w_m, mode
         while low > 0:
-            weight = weight * shrink  # w_{low-1}
-            shrink = left_ratio(low - 1) if low > 1 else 0
-            if weight * top < side_tol * (1 - shrink):
+            weight = weight * low * b // (a * (offset + slope * (low - 1)))  # W_{low-1}
+            k = low - 1
+            sn, sd = (k * b, a * (offset + slope * (k - 1))) if k else (0, 1)  # w_{k-1}/w_k
+            if weight * top * sd < rhs * (sd - sn):
                 break
             left.append(weight)
             low -= 1
+        left.reverse()
 
         right = []
-        weight, high = w_mode, mode
-        grow = ratio(high)
-        envelope = bound_const * stretch_m ** (high + 1 + r)  # C 2^r E^(high+1+r)
+        weight, high, power = w_m, mode, mode_power
         while True:
-            weight = weight * grow  # w_{high+1}
-            grow = ratio(high + 1)
-            rho = grow * stretch_m
-            if growth_deg:
-                rho = rho * (1 + mp.mpf(1) / (n + high + 1 + r)) ** growth_deg
-            if rho < 1:
-                tail = weight * envelope
-                if growth_deg:
-                    tail = tail * poly_growth(high + 1)
-                if tail < side_tol * (1 - rho):
-                    break
+            weight = weight * a * (offset + slope * high) // (b * (high + 1))  # W_{high+1}
+            power = -(-power * stretch_up >> B)  # E^(high+1+r) <= power / 2^B
+            k = high + 1
+            poly_growth = (n + k + r) ** d
+            growth = c_num * poly_growth * power
+            term = weight * growth
+            if term >= cap:
+                raise refuse(term, k, Q)
+            rn = a * (offset + slope * k) * sp * (n + k + 1 + r) ** d  # rho = rn / rd
+            rd = b * (k + 1) * sq * poly_growth
+            if rn < rd and term * tol_den * rd < rhs * (rd - rn):
+                break
             right.append(weight)
-            envelope = envelope * stretch_m
             high += 1
+        return low, left + [w_m] + right, (growth // unit).bit_length()
 
-        left.reverse()
-        weights = left + [w_mode] + right
+    with working(prec):
+        with mp.extraprec(log_size.bit_length() + 4):
+            w_mode = mp.exp(log_weight(mode))
+        # the weights carry `extra` bits beyond P, the bits of the largest
+        # majorant in the window and a margin, so that where f grows along
+        # it each W_k M_k still holds P bits; a walk that ends with a larger
+        # M_{U+1} is done again with more
+        extra = (c_num * (n + mode + r) ** d * mode_power // unit).bit_length() + 16
+        while True:
+            low, weights, need = walk(P + extra)
+            if need <= extra:
+                break
+            extra = need
         factor, g = f.shifted(Fraction(low, n))
-        values = list(islice(g.values_iter(Fraction(1, n)), len(weights) + r))
+        values, value_bits = _stream(factor, g, Fraction(1, n), len(weights) + r, P)
         for _ in range(r):
-            values = [b - a for a, b in zip(values, values[1:])]
-        total = mp.fdot(weights, values)
-        return prefactor * factor * total
+            values = [v - u for u, v in zip(values, values[1:])]
+        total = sum(map(operator.mul, weights, values))
+        return prefactor * factor * from_fixed(total, P + extra + value_bits)
 
 
 def szasz_eval(
@@ -553,7 +636,11 @@ def gauss_weierstrass_eval(
     is under the J-th bound over 1 - rho; J is the first index where that
     is under tol/8, leaving half of tol as the rounding margin.  h s is
     rounded down to 7 significant bits, a rational, so f comes from one
-    values_iter stream.  More than 3 quad_order nodes is refused."""
+    values_iter stream.  More than 3 quad_order nodes is refused, and so is
+    tol/(8 scale) below 2^-prec (PrecisionTooLow).  The J weights are
+    computed in mpf, then floored once to ints at 2^-P over the largest
+    |f| on the nodes; the values are ints to 2^-P of f, and the dot
+    product is exact."""
     x = _as_rat(x)
     if r < 0 or n < 1:
         raise ValueError("need n >= 1 and r >= 0")
@@ -565,9 +652,12 @@ def gauss_weierstrass_eval(
     hermite = [0] * (r + 1)  # H_r, lowest power first
     for m in range(r // 2 + 1):
         hermite[r - 2 * m] = (-1) ** m * 2 ** (r - 2 * m) * math.perm(r, 2 * m) // math.factorial(m)
+    bits = resolve_precision(prec)
     with working(prec):
         s = mp.sqrt(mp.mpf(2) / n)
         scale = mp.sqrt(mp.mpf(n) / 2) ** r / mp.sqrt(mp.pi)
+        if to_mpf(tol) / (8 * scale) < mp.ldexp(1, -bits):
+            raise _precision_too_low(tol, "tol/(8*scale)", to_mpf(tol) / (8 * scale), bits)
         log_budget = mp.log(8 * scale / to_mpf(tol))  # budget/8 = tol/(8 scale)
         majorant = [abs(c) for c in hermite]
         k0 = k1 = shift = spread = 0
@@ -621,10 +711,16 @@ def gauss_weierstrass_eval(
         for j in range(J):  # h H_r(j h) e^{-(j h)^2}, stepping e^{-(2j + 1) h^2}
             weights.append(mp.polyval(hermite[::-1], j * h) * decay)
             decay, shrink = decay * shrink, shrink * ratio
-        weights = [(-1) ** r * w for w in weights[:0:-1]] + weights
+        P = mp.prec
         factor, g = f.shifted(x - (J - 1) * step)
-        values = list(islice(g.values_iter(step), 2 * J - 1))
-        return scale * factor * mp.fdot(weights, values)
+        values, value_bits = _stream(factor, g, step, 2 * J - 1, P)
+        # weights to 2^-P over the largest |f| on the nodes
+        largest = max(map(abs, values)).bit_length() - value_bits + mp.mag(factor)
+        weight_bits = P + max(largest, 0)
+        weights = [to_fixed(w, weight_bits) for w in weights]
+        weights = [(-1) ** r * w for w in weights[:0:-1]] + weights
+        total = sum(map(operator.mul, weights, values))
+        return scale * factor * from_fixed(total, weight_bits + value_bits)
 
 
 BERNSTEIN = make_family(

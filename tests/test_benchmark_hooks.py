@@ -8,7 +8,9 @@ is loaded by path and only read, never installed, so the package under
 test stays unwrapped.  One traced ``symbolic_cold`` worker then runs in its
 own process: import, tracer install, the seeded warm-up and one full pass,
 which catches a worker that crashes at start-up or reports a wrong or
-failed job.  At 0.01 s of timed work it does not see whether a full run at
+failed job; one traced ``float_studies`` worker does the same for the
+float series, whose values come through the tracer's ``values_iter``
+wrapper.  At 0.01 s of timed work it does not see whether a full run at
 the benchmark's ``--seconds`` fits ``perfbench/run.py``'s time budget.
 """
 
@@ -52,8 +54,8 @@ def test_values_iter_takes_self_and_step():
     assert params == ["self", "step"]
 
 
-def test_traced_symbolic_worker_runs_one_pass(tmp_path):
-    argv = [sys.executable, str(WORKER), "--workload", "symbolic_cold",
+def _run_traced_worker(workload, tmp_path):
+    argv = [sys.executable, str(WORKER), "--workload", workload,
             "--mode", "trace", "--seconds", "0.01", "--seed", "2",
             "--trace-dir", str(tmp_path)]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -63,3 +65,13 @@ def test_traced_symbolic_worker_runs_one_pass(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["attempted"] > 0
     assert (result["wrong"], result["failed"]) == (0, 0)
+
+
+def test_traced_symbolic_worker_runs_one_pass(tmp_path):
+    _run_traced_worker("symbolic_cold", tmp_path)
+
+
+def test_traced_float_worker_runs_one_pass(tmp_path):
+    # the float series pull their values through the tracer's values_iter
+    # wrapper
+    _run_traced_worker("float_studies", tmp_path)

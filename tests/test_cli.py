@@ -212,8 +212,10 @@ class TestIdentities:
             "identities", "--family", "szasz", "--f", "poly:0,0,1",
             "--x", "1", "--n", "32", "--precision-bits", "64", "--tol", "1e-30",
         )
-        assert proc.returncode == 1
-        assert "pass: false" in proc.stdout
+        # tol/4 = 2.5e-31 is below 2^-64: refused, not summed and failed
+        assert proc.returncode == 2
+        assert "PrecisionTooLow" in proc.stderr
+        assert "below the threshold 2^-64" in proc.stderr
 
     def test_transcendental_f_rejected(self):
         proc = run_cli(

@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
@@ -11,6 +13,7 @@ from expasym.functions import (
     parse_function,
     to_mpf,
 )
+from expasym.numeric import from_fixed
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -96,6 +99,8 @@ class TestMpfEvaluation:
 
 
 class TestValuesIter:
+    """values_iter yields floor(f(j step) 2^bits) as ints, bits = mp.prec."""
+
     @given(
         st.sampled_from(["poly", "exp", "sin"]),
         st.integers(min_value=2, max_value=40),
@@ -112,7 +117,7 @@ class TestValuesIter:
             stream = f.values_iter(step)
             eps = mp.mpf(2) ** -150
             for j in range(64):
-                assert mpf_close(next(stream), f.eval_mpf(j * step), eps)
+                assert mpf_close(from_fixed(next(stream), 192), f.eval_mpf(j * step), eps)
 
     def test_exp_stream_long_range_drift(self):
         # the running product must stay accurate over thousands of steps
@@ -122,7 +127,27 @@ class TestValuesIter:
             for _ in range(4096):
                 last = next(stream)
             want = mp.exp(to_mpf(F(4095, 512)))
-            assert mpf_close(last, want, mp.mpf(2) ** -250)
+            assert mpf_close(from_fixed(last, 288), want, mp.mpf(2) ** -250)
+
+    @pytest.mark.parametrize("bits", [64, 96, 288])
+    @pytest.mark.parametrize("step", [F(1, 7), F(-1, 4096), F(5, 3), F(-22, 9)])
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [F(0)],
+            [F(-7, 3)],
+            [1, -2, F(1, 3)],
+            [F(1, 8), F(-3, 4), F(5, 8), F(-1, 2), F(3, 8), F(2, 7), F(-9, 11), F(1, 5), F(-4, 3)],
+            [F(j - 6, j + 1) for j in range(13)],
+        ],
+    )
+    def test_polynomial_stream_is_exact_floor(self, coeffs, step, bits):
+        f = SmoothFunction.polynomial(coeffs)
+        p = f.poly
+        with mp.workprec(bits):
+            stream = f.values_iter(step)
+            for j in range(200):
+                assert next(stream) == math.floor(p(j * step) * 2**bits)
 
 
 class TestShifted:

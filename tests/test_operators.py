@@ -17,6 +17,7 @@ from expasym.operators import (
     DerivativeOrderExceedsDegree,
     GrowthBoundViolated,
     Interval,
+    PrecisionTooLow,
     QuadratureNotConverged,
     baskakov_eval,
     bernstein_eval,
@@ -579,9 +580,16 @@ class TestDispatch:
             operator_eval(SZASZ, E2, 4, F(-1))
 
     def test_cross_precision_consistency(self):
-        lo = szasz_eval(E3, 12, F(1, 2), 0, prec=64)
+        lo = szasz_eval(E3, 12, F(1, 2), 0, tol=F(1, 10**25), prec=96)
         hi = szasz_eval(E3, 12, F(1, 2), 0, prec=256)
         assert abs(to_mpf(lo) - to_mpf(hi)) < mp.mpf(10) ** -25
+
+    @pytest.mark.parametrize("family", ["bernstein", "szasz", "baskakov", "gauss_weierstrass"])
+    def test_default_tol_refused_at_64_bits(self, family):
+        # tol/(4 prefactor) = 2.5e-31 (tol/(8 scale) for the trapezoid) is
+        # below 2^-64
+        with pytest.raises(PrecisionTooLow, match=r"2\^-64"):
+            operator_eval(FAMILIES[family], EXP1, 64, F(1, 2), prec=64)
 
 
 class TestCentralMomentDirect:
