@@ -42,9 +42,9 @@ else mpf values at the working precision of expasym.numeric.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-import operator
 from itertools import islice
 
 from mpmath import mp
@@ -420,11 +420,11 @@ def _series_eval(
     rational stretch covering e^(a/n); the series converges iff
     scale * slope * E < 1.
 
-    The sum runs in fixed point at the working precision P = prec +
-    GUARD_BITS: every weight and value is an int W ~ w 2^P.  W_m is the
-    floor of w_m = exp(log_weight(m)), computed with extra bits that absorb
-    the cancellation among its log terms, and the walk steps both ways by
-    the exact rational weight ratios, W <- W num // den:
+    The sum runs in fixed point.  With P = prec + GUARD_BITS, each weight
+    is an int W_k ~ w_k 2^Q, Q = P + extra: W_m is the floor of
+    w_m = exp(log_weight(m)), computed with extra bits that absorb the
+    cancellation among its log terms, and the walk steps both ways by the
+    exact rational weight ratios, W <- W num // den:
 
     * right, the terms beyond U are below w_{U+1} M_{U+1} / (1 - rho) with
       rho = (w_{U+2}/w_{U+1}) (1 + 1/(n+U+1+r))^d E, which bounds every
@@ -432,24 +432,29 @@ def _series_eval(
     * left, the terms below L are below w_{L-1} M_m / (1 - w_{L-2}/w_{L-1}),
       the weight ratio w_{k-1}/w_k increasing in k and M_k <= M_m.
 
-    Each side stops once its bound, with W_k / 2^P for w_k, is under the
-    side tolerance tol / (4 * prefactor), compared exactly over the
-    integers: E^(k+r) is bounded above by _power_up once and stepped with
-    products rounded up, the rest of M_k and rho is exact.  So the two
-    tails stay within tol / (2 * prefactor); the other half of tol is the
-    rounding margin.  A side tolerance below 2^-prec raises
-    PrecisionTooLow: with guard bits fewer than 32, the stop threshold
-    would be no more than a few units of 2^-P.
+    Each side stops once its bound, with W_k / 2^Q for w_k, is under the
+    side tolerance tol / (4 * prefactor), decided exactly over the
+    integers: E^(k+r) is bounded above by _power_up at the mode and
+    stepped by products rounded up, and the rest of M_k and rho is exact.
+    So the two tails stay within tol / (2 * prefactor); the other half of
+    tol is the rounding margin.  extra is the bit length of M_{U+1} (16
+    more at the first try; a walk that needs more is done again), so
+    W_k M_k keeps P bits where f grows along the window.
 
-    Rounding: each step floors once, and every ratio is at most 1 going
-    away from the mode, so |W_k - w_k 2^P| <= |k - m| + 2.  The values
-    f((L + j)/n) are one values_iter stream of f shifted by L/n, each V_j
-    within one unit of f 2^P for polynomials (a few for exp and sin); their
-    r-th differences and the dot product sum_k W_k Delta^r V_k are exact
-    ints, off from 2^(2P) sum_k w_k Delta^r v_k by at most
-    sum_k (2^r W_k e_V + (|k - m| + 2) |Delta^r V_k|) units of 2^-2P, with
-    e_V the value error.  The total becomes an mpf once, at the end; a
-    running bound on all of this is not kept."""
+    PrecisionTooLow is raised when the side tolerance is below 2^-prec,
+    where the stop threshold would come within 2^GUARD_BITS units of the
+    rounding of the weights, or below 2^-prec times a term bound w_k M_k
+    met on the walk, which prec bits cannot resolve to tol.
+
+    Rounding: each step floors once and every ratio is at most 1 going
+    away from the mode, so W_k is within |k - m| + 2 units of w_k 2^Q
+    beyond the relative error of w_m.  The values f((L + j)/n) are one
+    values_iter stream of f shifted by L/n, to 2^-P of f, each within one
+    unit for polynomials and a few for exp and sin.  Their r-th
+    differences and the dot product are exact ints, so the total is off
+    by at most sum_k (2^r W_k e_V + (|k - m| + 2) |Delta^r V_k|) units,
+    e_V the value error, and becomes an mpf once, at the end.  No running
+    bound on this is kept."""
     bits = resolve_precision(prec)
     side_tol = Fraction(tol) / (4 * prefactor)
     if side_tol < Fraction(1, 2**bits):

@@ -394,6 +394,27 @@ class TestSeriesWindow:
         bernstein_eval(EXP1, 4096, F(1, 2), 2)
         assert 0 < values_pulled[0] <= 1200
 
+    @pytest.mark.parametrize(
+        "evaluate, closed_form, n, x, r, tol",
+        [
+            (szasz_eval, _szasz_closed_form, 1, F(5, 2), 2, F(1, 10**12)),
+            (szasz_eval, _szasz_closed_form, 3, F(5), 0, F(1, 10**30)),
+            (bernstein_eval, _bernstein_exp_closed_form, 3, F(7, 8), 1, F(1, 10**30)),
+        ],
+    )
+    def test_fast_growth_along_the_window(self, evaluate, closed_form, n, x, r, tol):
+        # e^{5t/2} grows by 2^30 or more across these windows, so the far
+        # weights, tiny against values that large, need bits beyond 2^-P
+        f = SmoothFunction.exponential(F(5, 2))
+        with mp.workprec(400):
+            got = evaluate(f, n, x, r, tol=tol)
+            assert abs(got - closed_form(n, x, r, mp.mpf(5) / 2)) <= to_mpf(tol)
+
+    def test_term_beyond_precision_refused(self):
+        # S_1 e^{6t} at x = 20 is about e^8048: no 256-bit sum meets 1e-30
+        with pytest.raises(PrecisionTooLow, match="term bound"):
+            szasz_eval(SmoothFunction.exponential(6), 1, F(20))
+
     def test_bernstein_dispatch_honours_tol(self, values_pulled):
         n, x, r, tol = 4096, F(1, 2), 1, F(1, 10**12)
         with mp.workprec(320):
@@ -502,6 +523,17 @@ class TestGaussWeierstrass:
         # (s-1)!!/n^{s/2} for s = 8
         got = central_moment_direct(GAUSS_WEIERSTRASS, n, x, 8)
         assert abs(got - to_mpf(F(105, n**4))) <= tol_mpf()
+
+    @pytest.mark.parametrize("x", [F(-2), F(3)])
+    def test_decaying_exponential_far_across_the_nodes(self, x):
+        # e^{-7t} falls by e^-280 from the first node to the last; the
+        # values stay within 2^-P of f, not of f at the first node
+        f = SmoothFunction.exponential(-7)
+        tol = F(1, 10**60)
+        with mp.workprec(600):
+            got = gauss_weierstrass_eval(f, 1, x, 0, tol=tol, prec=320)
+            want = mp.exp(-7 * to_mpf(x) + mp.mpf(49) / 2)
+            assert abs(got - want) <= to_mpf(tol)
 
     def test_unresolvable_oscillation_raises(self):
         # phase keeps the integrand from being odd, which symmetric nodes
