@@ -369,8 +369,8 @@ def _bernstein_integer_sum(p: Poly, n: int, r: int, x: Rat) -> Fraction:
 
 
 def _power_up(num: int, den: int, e: int, bits: int) -> int:
-    """An int R with (num/den)^e <= R / 2^bits and R / 2^bits within about
-    2 log2(e) units of 2^-bits, relative: square-and-multiply with every
+    """An int R with (num/den)^e <= R / 2^bits, above it by a relative
+    error of about (e + 2 log2(e)) 2^-bits: square-and-multiply with every
     product rounded up."""
     base = -((-num << bits) // den)
     result = 1 << bits
