@@ -16,6 +16,10 @@ Representation conventions used everywhere downstream:
   contiguous exponents min_exponent..order.  Negative j means a positive
   power of n, so index sequences like lambda_n = n live at j = -1.
 
+Evaluation at a rational point (``horner_pair``, ``RatFuncN.eval``,
+``MomentPoly.eval``) runs on Python ints over one unreduced numerator and
+denominator and builds a single Rat at the end, so only one gcd is taken.
+
 Canonical text forms (used by snapshot tests and the CLI): rationals print as
 ``p/q`` (bare integer when q = 1); polynomials print ascending with ``*`` and
 ``^`` and a sign dance, e.g. ``3*x^2 - 6*x^3 + 3*x^4``; rational functions in
@@ -30,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Rat = Fraction
 
@@ -218,6 +222,27 @@ def _integer_coeffs(p: Poly) -> list[int]:
     return [c.numerator * (scale // c.denominator) for c in p.coeffs]
 
 
+def horner_pair(coeffs: Sequence[Rat], a: int, b: int, k: int = 0) -> tuple[int, int]:
+    """(N, D) with N/D the k-th derivative of sum_i coeffs[i] t^i at
+    t = a/b (b >= 1), unreduced; (0, 1) when k exceeds the degree.
+
+    Coefficient i of the k-th derivative is coeffs[i+k] (i+k)!/i!.  Horner
+    runs on Python ints: a step S -> S t + p/q takes N/D to
+    (N a q + p D b)/(D b q), so no gcd is taken and the caller reduces
+    once."""
+    top = len(coeffs) - 1
+    if top < k:
+        return 0, 1
+    c = coeffs[top]
+    num, den = c.numerator * math.perm(top, k), c.denominator
+    for i in range(top - 1, k - 1, -1):
+        c = coeffs[i]
+        q = c.denominator
+        num = num * a * q + c.numerator * math.perm(i, k) * den * b
+        den *= b * q
+    return num, den
+
+
 def _primitive(coeffs: list[int]) -> list[int]:
     content = math.gcd(*coeffs)
     return [c // content for c in coeffs]
@@ -350,11 +375,16 @@ class RatFuncN:
         return RatFuncN(self.num**exponent, self.den**exponent)
 
     def eval(self, n: Scalar) -> Rat:
-        n = _as_rat(n)
-        den = self.den(n)
+        return Fraction(*self._eval_pair(_as_rat(n)))
+
+    def _eval_pair(self, n: Rat) -> tuple[int, int]:
+        """(N, D) with N/D the value at n, unreduced, D != 0."""
+        a, b = n.numerator, n.denominator
+        den, den_scale = horner_pair(self.den.coeffs, a, b)
         if den == 0:
             raise DenominatorZero(f"denominator vanishes at n = {format_rat(n)}")
-        return self.num(n) / den
+        num, num_scale = horner_pair(self.num.coeffs, a, b)
+        return num * den_scale, num_scale * den
 
     def text(self) -> str:
         num_s = self.num.text("n")
@@ -484,11 +514,18 @@ class MomentPoly:
         )
 
     def eval(self, n: Scalar, x: Scalar) -> Rat:
+        """Value at rational (n, x): with x = c/d and top the highest
+        x-power, sum_p coeff_p(n) c^p d^(top-p) over one integer numerator
+        and denominator, divided by d^top and reduced once."""
         n, x = _as_rat(n), _as_rat(x)
-        total = Fraction(0)
+        c, d = x.numerator, x.denominator
+        top = self.terms[-1][0] if self.terms else 0
+        num, den = 0, 1
         for power, coeff in self.terms:
-            total += coeff.eval(n) * x**power
-        return total
+            u, v = coeff._eval_pair(n)
+            num = num * v + u * c**power * d ** (top - power) * den
+            den *= v
+        return Fraction(num, den * d**top)
 
     def text(self) -> str:
         if not self.terms:
@@ -554,14 +591,6 @@ class LaurentSeries:
             for i, c in enumerate(self.coeffs)
             if c != 0
         }
-
-    def resum(self, n: Scalar) -> Rat:
-        """Exact value of the truncation at a rational n."""
-        n = _as_rat(n)
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            total += c * n ** -(self.min_exponent + i)
-        return total
 
 
 def laurent_at_infinity(r: RatFuncN, J: int) -> LaurentSeries:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from mpmath import mp
 
-from .exactalg import Poly, Rat, Scalar, format_rat, _as_rat
+from .exactalg import Poly, Rat, Scalar, format_rat, horner_pair, _as_rat
 from .numeric import Number, is_exact, to_fixed, to_mpf, working
 
 POLY = "poly"
@@ -101,9 +101,10 @@ class SmoothFunction:
         value is irrational."""
         self.require_order(k)
         t = _as_rat(t)
-        if self.as_poly() is None:
+        p = self.as_poly()
+        if p is None:
             return None
-        return self.derivative_poly(k)(t)
+        return Fraction(*horner_pair(p.coeffs, t.numerator, t.denominator, k))
 
     def eval_number(self, t: Scalar, k: int, prec: int | None) -> Number:
         """k-th derivative at t: exact when rational, else mpf at working precision."""

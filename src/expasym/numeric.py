@@ -84,7 +84,16 @@ def subtract(a: Number, b: Number, prec: int | None) -> Number:
 
 
 def dot(weights: Sequence[Rat], values: Sequence[Number], prec: int | None) -> Number:
-    """sum_i weights[i] * values[i], exact when every value is."""
+    """sum_i weights[i] * values[i], exact when every value is: then the
+    products are summed over one integer numerator and denominator and
+    reduced once."""
+    if all(map(is_exact, weights)) and all(map(is_exact, values)):
+        num, den = 0, 1
+        for w, v in zip(weights, values):
+            scale = w.denominator * v.denominator
+            num = num * scale + w.numerator * v.numerator * den
+            den *= scale
+        return Fraction(num, den)
     k = len(weights)
     return combine(
         lambda *a: sum((w * v for w, v in zip(a[:k], a[k:])), Fraction(0)),

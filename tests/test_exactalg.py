@@ -109,6 +109,33 @@ def reference_reduction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num * scale, den * scale
 
 
+def reference_ratfunc_eval(r: RatFuncN, n) -> F:
+    """The evaluation one Fraction operation at a time: Horner on num and
+    den, then one division.  RatFuncN.eval must give the same Fraction."""
+    n = F(n)
+    den = r.den(n)
+    if den == 0:
+        raise DenominatorZero(f"denominator vanishes at n = {format_rat(n)}")
+    return r.num(n) / den
+
+
+def reference_momentpoly_eval(m: MomentPoly, n, x) -> F:
+    """The Fraction sum of coefficient(n) x^power over the terms;
+    MomentPoly.eval must give the same Fraction."""
+    total = F(0)
+    for power, coeff in m.items():
+        total += reference_ratfunc_eval(coeff, n) * F(x) ** power
+    return total
+
+
+def outcome(evaluate, *args):
+    """evaluate(*args), or the DenominatorZero message it raised."""
+    try:
+        return evaluate(*args)
+    except DenominatorZero as exc:
+        return f"DenominatorZero: {exc}"
+
+
 class TestRatFuncN:
     def test_reduction(self):
         r = RatFuncN(Poly((-1, 0, 1)), Poly((-1, 1)))  # (n^2-1)/(n-1)
@@ -162,6 +189,41 @@ class TestRatFuncN:
         r = RatFuncN(Poly((1, 1)), Poly((0, 0, 1)))
         assert r.eval(4) == F(5, 16)
 
+    @pytest.mark.parametrize(
+        "r, n, want",
+        [
+            # (1 + n)/n^2 at an int, a negative int and a negative rational
+            (RatFuncN(Poly((1, 1)), Poly((0, 0, 1))), 4, F(5, 16)),
+            (RatFuncN(Poly((1, 1)), Poly((0, 0, 1))), -3, F(-2, 9)),
+            (RatFuncN(Poly((1, 1)), Poly((0, 0, 1))), F(-7, 2), F(-10, 49)),
+            # (n/2 - 1/3)/(n^2 + 1/4) at n = 5/6: the denominators differ
+            (RatFuncN(Poly((F(-1, 3), F(1, 2))), Poly((F(1, 4), 0, 1))), F(5, 6), F(3, 34)),
+            (RatFuncN(), 7, F(0)),
+            (RatFuncN.const(F(-2, 3)), F(9, 4), F(-2, 3)),
+        ],
+    )
+    def test_eval_cases(self, r, n, want):
+        got = r.eval(n)
+        assert got == want == reference_ratfunc_eval(r, n)
+        assert type(got) is F
+
+    @pytest.mark.parametrize(
+        "den, n, where",
+        [(Poly((-4, 1)), 4, "4"), (Poly((F(1, 2), 1)), F(-1, 2), "-1/2"), (Poly((F(-9, 4), 0, 1)), F(3, 2), "3/2")],
+    )
+    def test_eval_at_a_root_of_den_raises(self, den, n, where):
+        r = RatFuncN(Poly((1, 1)), den)
+        with pytest.raises(DenominatorZero) as info:
+            r.eval(n)
+        assert str(info.value) == f"denominator vanishes at n = {where}"
+        assert outcome(r.eval, n) == outcome(reference_ratfunc_eval, r, n)
+
+    @given(ratfuncs, rationals)
+    def test_eval_matches_reference(self, r, n):
+        got = outcome(r.eval, n)
+        assert got == outcome(reference_ratfunc_eval, r, n)
+        assert type(got) in (F, str)
+
     def test_text(self):
         r = RatFuncN(Poly((1, 1)), Poly((0, 0, 1)))
         assert r.text() == "(1 + n)/n^2"
@@ -204,6 +266,39 @@ class TestMomentPoly:
     def test_eval(self):
         m = MomentPoly.from_mapping({1: 1 / RatFuncN.index()})  # x/n
         assert m.eval(8, F(1, 2)) == F(1, 16)
+
+    @pytest.mark.parametrize(
+        "n, x",
+        [(8, 2), (-5, F(-3, 4)), (F(7, 3), 0), (F(-9, 2), -1), (4096, F(11, 16))],
+    )
+    def test_eval_cases(self, n, x):
+        # 1/n - (n + 1)/(n^2 - 1/4) x^2 + (2/3) x^5: int, negative and
+        # zero arguments, gaps in the x-powers
+        m = MomentPoly.from_mapping({
+            0: 1 / RatFuncN.index(),
+            2: RatFuncN(Poly((-1, -1)), Poly((F(-1, 4), 0, 1))),
+            5: F(2, 3),
+        })
+        got = m.eval(n, x)
+        n, x = F(n), F(x)
+        assert got == 1 / n - (n + 1) / (n**2 - F(1, 4)) * x**2 + F(2, 3) * x**5
+        assert got == reference_momentpoly_eval(m, n, x)
+        assert type(got) is F
+
+    def test_zero_evaluates_to_fraction_zero(self):
+        got = MomentPoly().eval(3, F(1, 2))
+        assert got == 0 and type(got) is F
+
+    def test_eval_at_a_root_of_a_denominator_raises(self):
+        m = MomentPoly.from_mapping({0: 1, 1: RatFuncN(Poly.const(1), Poly((-3, 1)))})
+        with pytest.raises(DenominatorZero, match="^denominator vanishes at n = 3$"):
+            m.eval(3, F(1, 2))
+
+    @given(moment_polys, rationals, rationals)
+    def test_eval_matches_reference(self, m, n, x):
+        got = outcome(m.eval, n, x)
+        assert got == outcome(reference_momentpoly_eval, m, n, x)
+        assert type(got) in (F, str)
 
     def test_convolution(self):
         x = MomentPoly.from_mapping({1: 1})
@@ -281,10 +376,6 @@ class TestLaurent:
         assert s.min_exponent == 2
         assert s.coeff(2) == F(2)
 
-    def test_resum(self):
-        s = LaurentSeries(0, (F(1), F(-1), F(1)), 2)
-        assert s.resum(2) == F(3, 4)
-
     @given(ratfuncs, st.integers(min_value=0, max_value=6))
     def test_truncation_error_order(self, r, J):
         # subtracting the exact resummation must push the remainder past J
@@ -315,4 +406,4 @@ class TestLaurent:
         series = laurent_at_infinity(r, J)
         assert series.nonzero() == coeffs
         if not r.is_zero:
-            assert series.resum(7) == r.eval(7)
+            assert sum(c * F(7) ** -j for j, c in series.nonzero().items()) == r.eval(7)

@@ -13,7 +13,7 @@ from expasym.functions import (
     parse_function,
     to_mpf,
 )
-from expasym.numeric import from_fixed
+from expasym.numeric import dot, from_fixed
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -69,6 +69,65 @@ class TestExactEvaluation:
         assert SmoothFunction.exponential(0).as_poly() == Poly.const(1)
         assert SmoothFunction.exponential(1).as_poly() is None
         assert SmoothFunction.sinusoid(1, 0).as_poly() is None
+
+
+def reference_eval_exact(f: SmoothFunction, t, k: int) -> F:
+    """The k-th derivative by the Poly.derivative chain, then Fraction
+    Horner; eval_exact must give the same Fraction."""
+    p = f.as_poly()
+    for _ in range(k):
+        p = p.derivative()
+    return p(F(t))
+
+
+class TestIntegerEvaluation:
+    """eval_exact and the exact dot run on ints and reduce once; each must
+    equal the Fraction computation it replaced."""
+
+    @given(
+        st.lists(rationals, max_size=7),
+        rationals,
+        st.integers(min_value=0, max_value=8),
+    )
+    def test_eval_exact_matches_reference(self, coeffs, t, k):
+        f = SmoothFunction.polynomial(coeffs)
+        got = f.eval_exact(t, k)
+        assert got == reference_eval_exact(f, t, k)
+        assert type(got) is F
+
+    @pytest.mark.parametrize("t", [0, 3, -2, F(-4097, 16), F(5, 7)])
+    @pytest.mark.parametrize("k", range(7))
+    def test_eval_exact_cases(self, t, k):
+        # degree 4 with mixed denominators; k = 5, 6 pass the degree
+        f = SmoothFunction.polynomial([F(-3, 8), 5, 0, F(7, 6), F(-1, 4)])
+        got = f.eval_exact(t, k)
+        assert got == reference_eval_exact(f, t, k)
+        assert type(got) is F
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_zero_polynomial_and_constant_exponential(self, k):
+        for f, want in ((SmoothFunction.polynomial([]), 0), (SmoothFunction.exponential(0), int(k == 0))):
+            got = f.eval_exact(F(-5, 3), k)
+            assert got == want and type(got) is F
+
+    @given(
+        st.lists(
+            st.tuples(rationals | st.integers(-9, 9), rationals | st.integers(-9, 9)),
+            max_size=8,
+        )
+    )
+    def test_exact_dot_matches_reference(self, pairs):
+        weights = [w for w, _v in pairs]
+        values = [v for _w, v in pairs]
+        got = dot(weights, values, None)
+        assert got == sum((F(w) * F(v) for w, v in pairs), F(0))
+        assert type(got) is F
+
+    def test_dot_with_an_mpf_value_stays_on_mpf(self):
+        got = dot([1, F(1, 2)], [F(1, 3), mp.mpf(2)], 64)
+        assert isinstance(got, mp.mpf)
+        with mp.workprec(128):
+            assert mpf_close(got, mp.mpf(4) / 3, mp.mpf(2) ** -90)
 
 
 class TestMpfEvaluation:
