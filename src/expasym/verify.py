@@ -23,6 +23,7 @@ magnitude, rendering) is made by expasym.numeric.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -41,8 +42,9 @@ from .numeric import (
     is_exact,
     magnitude,
     subtract,
+    to_mpf,
 )
-from .operators import DEFAULT_TOL, OperatorFamily, operator_eval
+from .operators import DEFAULT_TOL, OperatorFamily, PrecisionTooLow, operator_eval
 
 RATIO_BAND = (0.35, 0.65)
 SLOPE_SLACK = 0.75
@@ -346,6 +348,22 @@ def _require_interior(family: OperatorFamily, x: Rat) -> None:
         )
 
 
+@contextmanager
+def _inner_tol(tol: Rat, n: int, extra: int):
+    """Yield the tol tol/(32 (n + extra)) that an identity check passes to
+    each operator value; a PrecisionTooLow raised under it is raised again
+    naming the caller's tol and that factor."""
+    inner = tol / (32 * (n + extra))
+    try:
+        yield inner
+    except PrecisionTooLow as exc:
+        raise PrecisionTooLow(
+            f"identity tol {mp.nstr(to_mpf(tol), 3)} becomes"
+            f" tol/(32*({n} + {extra})) = {mp.nstr(to_mpf(inner), 3)}"
+            f" per operator value: {exc}"
+        ) from exc
+
+
 def _psi_times(f: SmoothFunction, x: Rat, power: int) -> SmoothFunction:
     psi = Poly((-x, Fraction(1))) ** power
     return SmoothFunction.polynomial(psi * f.poly)
@@ -368,14 +386,14 @@ def ode_identity_check(
     if not f.is_polynomial:
         raise ValueError("identity checks need polynomial f")
     _require_interior(family, x)
-    inner_tol = tol / (32 * (n + 2))
-    kwargs = dict(tol=inner_tol, prec=prec, quad_order=quad_order)
-    lhs = operator_eval(family, f, n, x, 1, **kwargs)
-    s_f = operator_eval(family, f, n, x, 0, **kwargs)
-    s_psi_f = operator_eval(family, _psi_times(f, x, 1), n, x, 0, **kwargs)
-    s_psi = operator_eval(
-        family, SmoothFunction.polynomial(Poly((-x, Fraction(1)))), n, x, 0, **kwargs
-    )
+    with _inner_tol(tol, n, 2) as inner_tol:
+        kwargs = dict(tol=inner_tol, prec=prec, quad_order=quad_order)
+        lhs = operator_eval(family, f, n, x, 1, **kwargs)
+        s_f = operator_eval(family, f, n, x, 0, **kwargs)
+        s_psi_f = operator_eval(family, _psi_times(f, x, 1), n, x, 0, **kwargs)
+        s_psi = operator_eval(
+            family, SmoothFunction.polynomial(Poly((-x, Fraction(1)))), n, x, 0, **kwargs
+        )
     scale = family.lambda_n.eval(n) / family.phi(x)
     return combine(
         lambda lhs, scale, s_psi_f, s_psi, s_f: lhs - scale * (s_psi_f - s_psi * s_f),
@@ -416,14 +434,14 @@ def psi_m_derivative_identity_check(
         taylor_coeff = f.derivative_poly(j) * Fraction(1, math.factorial(j))
         symbolic = symbolic + table.moment(m + j) * taylor_coeff
     lhs = symbolic.dx().eval(n, x)
-    inner_tol = tol / (32 * (n + m + 2))
-    kwargs = dict(tol=inner_tol, prec=prec, quad_order=quad_order)
-    s_up = operator_eval(family, _psi_times(f, x, m + 1), n, x, 0, **kwargs)
-    s_down = operator_eval(family, _psi_times(f, x, m - 1), n, x, 0, **kwargs)
-    s_f = operator_eval(family, f, n, x, 0, **kwargs)
-    s_psi = operator_eval(
-        family, SmoothFunction.polynomial(Poly((-x, Fraction(1)))), n, x, 0, **kwargs
-    )
+    with _inner_tol(tol, n, m + 2) as inner_tol:
+        kwargs = dict(tol=inner_tol, prec=prec, quad_order=quad_order)
+        s_up = operator_eval(family, _psi_times(f, x, m + 1), n, x, 0, **kwargs)
+        s_down = operator_eval(family, _psi_times(f, x, m - 1), n, x, 0, **kwargs)
+        s_f = operator_eval(family, f, n, x, 0, **kwargs)
+        s_psi = operator_eval(
+            family, SmoothFunction.polynomial(Poly((-x, Fraction(1)))), n, x, 0, **kwargs
+        )
     scale = family.lambda_n.eval(n) / family.phi(x)
     return combine(
         lambda lhs, scale, s_up, s_psi, s_f, s_down: (

@@ -212,10 +212,12 @@ class TestIdentities:
             "identities", "--family", "szasz", "--f", "poly:0,0,1",
             "--x", "1", "--n", "32", "--precision-bits", "64", "--tol", "1e-30",
         )
-        # tol/4 = 2.5e-31 is below 2^-64: refused, not summed and failed
+        # the inner tol 1e-30/(32*34) is below 2^-64: refused, not summed
+        # and failed; the message names the user's tol and that factor
         assert proc.returncode == 2
         assert "PrecisionTooLow" in proc.stderr
         assert "below the threshold 2^-64" in proc.stderr
+        assert "identity tol 1.0e-30 becomes tol/(32*(32 + 2)) = 9.19e-34" in proc.stderr
 
     def test_transcendental_f_rejected(self):
         proc = run_cli(
