@@ -106,7 +106,11 @@ class TestIntegerEvaluation:
 
     @pytest.mark.parametrize("k", range(3))
     def test_zero_polynomial_and_constant_exponential(self, k):
-        for f, want in ((SmoothFunction.polynomial([]), 0), (SmoothFunction.exponential(0), int(k == 0))):
+        cases = (
+            (SmoothFunction.polynomial([]), 0),
+            (SmoothFunction.exponential(0), int(k == 0)),
+        )
+        for f, want in cases:
             got = f.eval_exact(F(-5, 3), k)
             assert got == want and type(got) is F
 

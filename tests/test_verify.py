@@ -249,9 +249,12 @@ class TestPsiMIdentity:
             psi_m_derivative_identity_check(BERNSTEIN, E2, 1, 8, F(1))
 
     def test_precision_refusal_names_the_callers_tol(self):
-        # 1e-30/(32*(32 + 2 + 2)) per operator value is beyond 64 bits
-        with pytest.raises(PrecisionTooLow, match=r"identity tol 1\.0e-30 becomes tol/\(32\*\(32 \+ 4\)\)") as info:
-            psi_m_derivative_identity_check(SZASZ, E2, 2, 32, F(1), tol=F(1, 10**30), prec=64)
+        # m = 2: 1e-30/(32*(32 + 4)) per operator value is beyond 64 bits
+        want = r"^identity tol 1\.0e-30 becomes tol/\(32\*\(32 \+ 4\)\) = 8\.68e-34 per"
+        with pytest.raises(PrecisionTooLow, match=want) as info:
+            psi_m_derivative_identity_check(
+                SZASZ, E2, 2, 32, F(1), tol=F(1, 10**30), prec=64
+            )
         assert isinstance(info.value.__cause__, PrecisionTooLow)
 
 
