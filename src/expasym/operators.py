@@ -333,15 +333,24 @@ def bernstein_eval(
     return _series_eval(f, n, x, r, tol, prec, log_weight, x / (1 - x), m, -1, perm)
 
 
+_SPLIT_LEAF = 8  # terms a leaf of the binary splitting sums in a plain loop
+
+
 def _bernstein_integer_sum(p: Poly, n: int, r: int, x: Rat) -> Fraction:
     """sum_{k<=m} C(m,k) x^k (1-x)^(m-k) Delta^r_{1/n} p(k/n), m = n - r,
     for 0 <= x < 1, summed over Python ints and reduced once at the end.
 
     With x = a/b, D the lcm of p's coefficient denominators and d = deg p,
     g(k) = D n^d p(k/n) is an integer polynomial in k, evaluated by Horner
-    and differenced r times.  The weights c_k = C(m,k) a^k (b-a)^(m-k) step
-    by c_{k+1} = c_k (m-k) a / ((k+1)(b-a)), a division that is exact, and
-    the result is sum_k c_k Delta^r g(k) / (b^m D n^d)."""
+    and differenced r times into v_k = Delta^r g(k).  The weights
+    c_k = C(m,k) a^k (b-a)^(m-k) start at c_0 = (b-a)^m with the term ratio
+    c_{k+1}/c_k = p(k)/q(k), p(k) = (m-k) a, q(k) = (k+1)(b-a), so
+    S = sum_k c_k v_k is summed by binary splitting (Haible & Papanikolaou,
+    "Fast multiprecision evaluation of series of rational numbers", ANTS
+    1998): over lo <= k < hi, P = prod p(k), Q = prod q(k) and T with
+    T/Q = sum_k v_k prod_{lo<=i<k} p(i)/q(i); a leaf is (p(k), q(k),
+    v_k q(k)), and two halves combine as (P1 P2, Q1 Q2, T1 Q2 + P1 T2).
+    Then S = (b-a)^m T/Q, an integer, and the result is S / (b^m D n^d)."""
     a, b = x.numerator, x.denominator
     degree = max(p.degree, 0)
     scale = math.lcm(*(c.denominator for c in p.coeffs))
@@ -360,11 +369,24 @@ def _bernstein_integer_sum(p: Poly, n: int, r: int, x: Rat) -> Fraction:
         values = [v - u for u, v in zip(values, values[1:])]
     m = n - r
     rest = b - a
-    weight = rest**m
-    total = 0
-    for k, value in enumerate(values):
-        total += weight * value
-        weight = weight * (m - k) * a // ((k + 1) * rest)  # 0 after k = m
+
+    def split(lo: int, hi: int) -> tuple[int, int, int]:
+        if hi - lo <= _SPLIT_LEAF:
+            P, Q, T = 1, 1, 0
+            for k in range(lo, hi):
+                q = (k + 1) * rest
+                T = (T + P * values[k]) * q
+                P *= (m - k) * a
+                Q *= q
+            return P, Q, T
+        mid = (lo + hi) // 2
+        P1, Q1, T1 = split(lo, mid)
+        P2, Q2, T2 = split(mid, hi)
+        return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+
+    _, Q, T = split(0, len(values))
+    # Q holds (b-a)^m, so dividing it out first keeps both divisions small
+    total = T // (Q // rest**m)
     return Fraction(total, b**m * scale * n**degree)
 
 

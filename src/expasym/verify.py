@@ -30,7 +30,7 @@ from typing import Sequence
 
 from mpmath import mp
 
-from .exactalg import MomentPoly, Poly, Rat, Scalar, _as_rat, format_rat
+from .exactalg import Poly, Rat, Scalar, _as_rat, format_rat
 from .expansion import evaluate_derivative_expansion, voronovskaja_limit
 from .functions import SmoothFunction
 from .moments import central_moments
@@ -416,11 +416,12 @@ def psi_m_derivative_identity_check(
     - m S_n(psi^{m-1} f)(x).
 
     The left side differentiates a map where x enters both the weight and
-    the argument; it is computed symbolically by expanding f around x, so
-    S_n(psi_x^m f)(x) = sum_j f^{(j)}(x)/j! mu_{n,m+j}(x), an exact
-    MomentPoly, then differentiated term by term.  The right side uses the
-    direct evaluators, making this a cross-check of the moment recursion
-    against the concrete operator rules."""
+    the argument.  Expanding f around x gives S_n(psi_x^m f)(x) =
+    sum_j mu_{n,m+j}(x) f^{(j)}(x)/j!, so by the product rule it is
+    sum_j [mu_{n,m+j}'(x) f^{(j)}(x) + mu_{n,m+j}(x) f^{(j+1)}(x)]/j!,
+    each central moment and its x-derivative evaluated exactly at (n, x).
+    The right side uses the direct evaluators, making this a cross-check of
+    the moment recursion against the concrete operator rules."""
     x = _as_rat(x)
     if m < 1:
         raise ValueError("m must be >= 1; m = 0 is the plain first-order identity")
@@ -429,11 +430,13 @@ def psi_m_derivative_identity_check(
     _require_interior(family, x)
     degree = max(f.poly.degree, 0)
     table = central_moments(family, m + degree + 1)
-    symbolic = MomentPoly()
+    lhs = Fraction(0)
     for j in range(degree + 1):
-        taylor_coeff = f.derivative_poly(j) * Fraction(1, math.factorial(j))
-        symbolic = symbolic + table.moment(m + j) * taylor_coeff
-    lhs = symbolic.dx().eval(n, x)
+        moment = table.moment(m + j)
+        lhs += (
+            moment.dx().eval(n, x) * f.eval_exact(x, j)
+            + moment.eval(n, x) * f.eval_exact(x, j + 1)
+        ) / math.factorial(j)
     with _inner_tol(tol, n, m + 2) as inner_tol:
         kwargs = dict(tol=inner_tol, prec=prec, quad_order=quad_order)
         s_up = operator_eval(family, _psi_times(f, x, m + 1), n, x, 0, **kwargs)

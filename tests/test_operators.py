@@ -1,8 +1,8 @@
+import math
 from fractions import Fraction as F
 
-import math
-
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from expasym.exactalg import Poly, RatFuncN
@@ -19,6 +19,7 @@ from expasym.operators import (
     Interval,
     PrecisionTooLow,
     QuadratureNotConverged,
+    _bernstein_integer_sum,
     baskakov_eval,
     bernstein_eval,
     central_moment_direct,
@@ -95,6 +96,85 @@ def _bernstein_closed_form(coeffs, n, x, r):
     for c in reversed(image):
         value = value * x + c
     return value
+
+
+def reference_bernstein_sum(p, n, r, x):
+    """The integer Bernstein sum as one loop: the weight
+    C(m,k) a^k (b-a)^(m-k) stepped by one exact division per k."""
+    a, b = x.numerator, x.denominator
+    degree = max(p.degree, 0)
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    coeffs = [
+        c.numerator * (scale // c.denominator) * n ** (degree - j)
+        for j, c in enumerate(p.coeffs)
+    ]
+    coeffs.reverse()
+    values = []
+    for k in range(n + 1 if a else r + 1):
+        acc = 0
+        for c in coeffs:
+            acc = acc * k + c
+        values.append(acc)
+    for _ in range(r):
+        values = [v - u for u, v in zip(values, values[1:])]
+    m = n - r
+    rest = b - a
+    weight = rest**m
+    total = 0
+    for k, value in enumerate(values):
+        total += weight * value
+        weight = weight * (m - k) * a // ((k + 1) * rest)  # 0 after k = m
+    return F(total, b**m * scale * n**degree)
+
+
+@st.composite
+def bernstein_sums(draw):
+    """(p, n, r, x): degree 0..8, n <= 300, r <= n, x = a/b in [0, 1)."""
+    coeffs = draw(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=1, max_size=9))
+    n = draw(st.integers(min_value=1, max_value=300))
+    r = draw(st.integers(min_value=0, max_value=n))
+    b = draw(st.integers(min_value=1, max_value=10**6))
+    a = draw(st.integers(min_value=0, max_value=b - 1))
+    return Poly(tuple(coeffs)), n, r, F(a, b)
+
+
+class TestBernsteinIntegerSum:
+    """The binary-splitting sum against the weight loop it replaced."""
+
+    @given(bernstein_sums())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_weight_loop(self, case):
+        got, want = _bernstein_integer_sum(*case), reference_bernstein_sum(*case)
+        assert type(got) is F and got == want
+
+    QUARTIC = Poly((F(1, 8), F(-3, 4), F(5, 8), F(-1, 2), F(3, 8)))
+
+    @pytest.mark.parametrize(
+        "p, n, r, x",
+        [
+            (QUARTIC, 40, 2, F(0)),  # only the first term
+            (QUARTIC, 40, 0, F(0)),
+            (QUARTIC, 97, 2, F(996, 997)),  # a = b - 1, so b - a = 1
+            (QUARTIC, 97, 0, F(1, 2)),
+            (QUARTIC, 9, 9, F(2, 7)),  # r = n: m = 0, one term
+            (Poly((F(1, 2), 3, -1, F(2, 9), 1, 0, -5)), 6, 6, F(1, 3)),
+            (QUARTIC, 9, 8, F(2, 7)),  # r = n - 1: two terms
+            (QUARTIC, 1, 0, F(5, 6)),
+            (Poly((F(-5, 3),)), 33, 0, F(4, 11)),  # constant
+            (Poly((F(-5, 3),)), 33, 3, F(4, 11)),
+            (Poly(), 33, 0, F(4, 11)),  # zero polynomial
+            (Poly(), 33, 33, F(4, 11)),
+        ],
+    )
+    def test_edge_cases(self, p, n, r, x):
+        got = _bernstein_integer_sum(p, n, r, x)
+        assert type(got) is F and got == reference_bernstein_sum(p, n, r, x)
+
+    def test_32_digit_denominator_at_large_n(self):
+        # against the closed form only: the weight loop takes seconds here
+        x = F(10**31 + 7, 3 * 10**31 + 11)
+        got = bernstein_eval(SmoothFunction.polynomial(self.QUARTIC), 4096, x, 2)
+        assert got == _bernstein_closed_form(list(self.QUARTIC.coeffs), 4096, x, 2)
 
 
 class TestBernstein:
@@ -723,3 +803,4 @@ class TestMakeFamily:
             BERNSTEIN.require_point(F(0), interior=True)
         BERNSTEIN.require_point(F(0))
         GAUSS_WEIERSTRASS.require_point(F(-5), interior=True)
+

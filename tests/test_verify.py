@@ -1,16 +1,20 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from expasym.exactalg import Poly
+from expasym import verify
+from expasym.exactalg import MomentPoly
 from expasym.functions import SmoothFunction, to_mpf
+from expasym.moments import central_moments
 from expasym.operators import (
     BASKAKOV,
     BERNSTEIN,
     DEFAULT_TOL,
+    FAMILIES,
     GAUSS_WEIERSTRASS,
     SZASZ,
     PrecisionTooLow,
@@ -220,7 +224,45 @@ class TestOdeIdentity:
             ode_identity_check(BERNSTEIN, SmoothFunction.exponential(1), 8, F(1, 2))
 
 
+def reference_psi_m_left_side(family, f, m, n, x):
+    """d/dx S_n(psi_x^m f)(x) by rebuilding sum_j mu_{n,m+j} f^{(j)}/j! as
+    one MomentPoly and differentiating it."""
+    degree = max(f.poly.degree, 0)
+    table = central_moments(family, m + degree + 1)
+    symbolic = MomentPoly()
+    for j in range(degree + 1):
+        taylor_coeff = f.derivative_poly(j) * F(1, math.factorial(j))
+        symbolic = symbolic + table.moment(m + j) * taylor_coeff
+    return symbolic.dx().eval(n, x)
+
+
 class TestPsiMIdentity:
+    @pytest.mark.parametrize("family_id", sorted(FAMILIES))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_left_side_equals_the_rebuilt_moment_poly(self, monkeypatch, family_id, m):
+        # with every operator value 0, the defect is the left side alone
+        monkeypatch.setattr(verify, "operator_eval", lambda *args, **kwargs: F(0))
+        family = FAMILIES[family_id]
+        points = {"bernstein": (F(1, 3), F(5, 8)), "gauss_weierstrass": (F(-2), F(3, 7))}
+        for degree in range(6):
+            f = SmoothFunction.polynomial([F((-1) ** i * (i + 2), i + 1) for i in range(degree + 1)])
+            for n in (3, 17, 64):
+                for x in points.get(family_id, (F(1, 3), F(5, 2))):
+                    got = psi_m_derivative_identity_check(family, f, m, n, x)
+                    want = reference_psi_m_left_side(family, f, m, n, x)
+                    assert type(got) is F and got == want
+
+    @pytest.mark.parametrize("family", [BERNSTEIN, SZASZ, BASKAKOV], ids=lambda fam: fam.id)
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_defects_across_degrees(self, family, m):
+        for degree in range(5):
+            f = SmoothFunction.polynomial([F(i - 2, 3) for i in range(degree)] + [1])
+            defect = psi_m_derivative_identity_check(family, f, m, 12, F(2, 5))
+            if family is BERNSTEIN:
+                assert type(defect) is F and defect == 0
+            else:
+                assert abs(defect) < 10 * to_mpf(DEFAULT_TOL)
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_bernstein_exact_zero(self, m):
         defect = psi_m_derivative_identity_check(BERNSTEIN, E2, m, 9, F(1, 3))
