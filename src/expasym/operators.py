@@ -667,7 +667,9 @@ def gauss_weierstrass_eval(
     tol/(8 scale) below 2^-prec (PrecisionTooLow).  The J weights are
     computed in mpf, then floored once to ints at 2^-P over the largest
     |f| on the nodes; the values are ints to 2^-P of f, and the dot
-    product is exact."""
+    product is exact.  The mpf steps err relative to the terms, so the sum
+    is refused too when scale times the sum of its |terms| exceeds
+    tol 2^prec / 8, the rule the series apply to their term bounds."""
     x = _as_rat(x)
     if r < 0 or n < 1:
         raise ValueError("need n >= 1 and r >= 0")
@@ -746,8 +748,13 @@ def gauss_weierstrass_eval(
         weight_bits = P + max(largest, 0)
         weights = [to_fixed(w, weight_bits) for w in weights]
         weights = [(-1) ** r * w for w in weights[:0:-1]] + weights
-        total = sum(map(operator.mul, weights, values))
-        return scale * factor * from_fixed(total, weight_bits + value_bits)
+        terms = list(map(operator.mul, weights, values))
+        # the mpf weights, scale and factor err relative to the terms
+        size = scale * abs(factor) * from_fixed(sum(map(abs, terms)), weight_bits + value_bits)
+        if to_mpf(tol) / 8 < size * mp.ldexp(1, -bits):
+            share = f"tol/8 over the term sum bound {mp.nstr(size, 3)}"
+            raise _precision_too_low(tol, share, to_mpf(tol) / (8 * size), bits)
+        return scale * factor * from_fixed(sum(terms), weight_bits + value_bits)
 
 
 BERNSTEIN = make_family(

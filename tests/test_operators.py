@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -639,6 +640,30 @@ class TestGaussWeierstrass:
         # one sum, sized from tol: well under the 3 * 64 cap
         gauss_weierstrass_eval(EXP1, 64, F(1), 2)
         assert 0 < values_pulled[0] <= 80
+
+    def test_sum_beyond_precision_refused(self):
+        # the value, about 5.25e16, holds 19 significant digits at 64 bits:
+        # not enough for tol 1e-12, which the sum missed by 19.6 tol
+        f = SmoothFunction.exponential(-7)
+        with pytest.raises(PrecisionTooLow, match=r"term sum bound 5\.25e\+16"):
+            gauss_weierstrass_eval(f, 1, F(-2), 0, tol=F(1, 10**12), prec=64)
+
+    def test_exponentials_refused_or_within_tol(self):
+        # W_n e^{at}(x)^{(r)} = a^r e^{ax + a^2/(2n)}
+        outcomes = []
+        for a in (F(-7), F(3, 2), F(10)):
+            f = SmoothFunction.exponential(a)
+            for n, x, r in itertools.product((1, 2, 64), (F(-2), F(3, 2)), (0, 2)):
+                for tol, bits in ((F(1, 10**12), 64), (F(1, 10**30), 128)):
+                    try:
+                        got = gauss_weierstrass_eval(f, n, x, r, tol=tol, prec=bits)
+                    except PrecisionTooLow:
+                        outcomes.append("refused")
+                        continue
+                    am = to_mpf(a)
+                    want = am**r * mp.exp(am * to_mpf(x) + am * am / (2 * n))
+                    outcomes.append(abs(got - want) <= to_mpf(tol))
+        assert set(outcomes) == {True, "refused"}
 
     def test_zero_polynomial(self):
         # no strip bound to size the rule from: the value is 0 outright
