@@ -25,7 +25,6 @@ from .expansion import (
     complete_coeffs,
     derivative_terms,
     evaluate_derivative_expansion,
-    psi_power_derivative,
     truncated_sum,
     voronovskaja_limit,
 )
@@ -37,7 +36,6 @@ from .moments import (
     central_moments,
     leading_term_closed_form,
     moment_expansion,
-    raw_moment,
     vanishing_order,
 )
 from .numeric import DEFAULT_PRECISION_BITS
@@ -122,8 +120,6 @@ __all__ = [
     "operator_eval",
     "parse_function",
     "psi_m_derivative_identity_check",
-    "psi_power_derivative",
-    "raw_moment",
     "residual_study",
     "richardson",
     "truncated_sum",

@@ -42,7 +42,6 @@ __all__ = [
     "complete_coeffs",
     "derivative_terms",
     "evaluate_derivative_expansion",
-    "psi_power_derivative",
     "truncated_sum",
     "voronovskaja_limit",
 ]
@@ -224,15 +223,3 @@ def _derivative_sum(
         [f.eval_number(x, s, prec) for _w, s in weighted],
         prec,
     )
-
-
-def psi_power_derivative(m: int, s: int) -> Rat:
-    """Scalar factor in ((t-x)^m f)^{(s)} at t = x.  Leibniz splits the
-    derivative over both factors, but (t-x)^m has a zero of exact order m,
-    so only the split putting exactly m derivatives on it survives:
-    C(s, m) m! f^{(s-m)}(x).  Returns C(s, m) m!, zero when m > s."""
-    if m < 0 or s < 0:
-        raise ValueError("orders must be >= 0")
-    if m > s:
-        return Fraction(0)
-    return Fraction(math.comb(s, m) * math.factorial(m))

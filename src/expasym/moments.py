@@ -261,19 +261,3 @@ def vanishing_order(mu: MomentPoly) -> int:
     if mu.is_zero:
         raise ZeroMoment("moment is identically zero")
     return min(coeff.order_at_infinity for _power, coeff in mu.items())
-
-
-def raw_moment(table: MomentTable, r: int) -> MomentPoly:
-    """(S_n e_r)(x) recovered from central moments by the binomial
-    transform sum_m C(r,m) x^{r-m} mu_{n,m}(x)."""
-    if r < 0:
-        raise ValueError("monomial degree must be >= 0")
-    if r > table.s_max:
-        raise OrderTooLarge(
-            f"raw moment of degree {r} needs central moments up to {r}"
-        )
-    x = Poly.variable()
-    total = MomentPoly()
-    for m in range(r + 1):
-        total = total + table.moment(m) * (x ** (r - m) * math.comb(r, m))
-    return total

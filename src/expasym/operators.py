@@ -108,10 +108,6 @@ class Interval:
             return False
         return True
 
-    @property
-    def unbounded(self) -> bool:
-        return self.lower is None or self.upper is None
-
     def text(self) -> str:
         left = "(-oo" if self.lower is None else ("[" if self.lower_closed else "(") + format_rat(self.lower)
         right = "oo)" if self.upper is None else format_rat(self.upper) + ("]" if self.upper_closed else ")")

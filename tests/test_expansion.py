@@ -4,7 +4,6 @@ import gc
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from expasym import expansion
@@ -14,7 +13,6 @@ from expasym.expansion import (
     complete_coeffs,
     derivative_terms,
     evaluate_derivative_expansion,
-    psi_power_derivative,
     truncated_sum,
     voronovskaja_limit,
 )
@@ -225,46 +223,3 @@ class TestVoronovskajaLimit:
     def test_shifted_index_rejected(self):
         with pytest.raises(NotPureExponentialIndex):
             voronovskaja_limit(synthetic_family(), SmoothFunction.monomial(2), F(1, 2), 0)
-
-
-class TestPsiPowerDerivative:
-    @pytest.mark.parametrize(
-        "m,s,want", [(1, 5, 5), (3, 3, 6), (4, 2, 0), (0, 0, 1), (2, 2, 2)]
-    )
-    def test_pinned_values(self, m, s, want):
-        assert psi_power_derivative(m, s) == want
-
-    def test_negative_orders_rejected(self):
-        with pytest.raises(ValueError):
-            psi_power_derivative(-1, 2)
-        with pytest.raises(ValueError):
-            psi_power_derivative(2, -1)
-
-    @given(
-        st.integers(min_value=0, max_value=6),
-        st.integers(min_value=0, max_value=8),
-        st.lists(
-            st.fractions(min_value=-3, max_value=3, max_denominator=4),
-            min_size=1,
-            max_size=4,
-        ),
-        st.fractions(min_value=-2, max_value=2, max_denominator=5),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_factor_against_literal_differentiation(self, m, s, coeffs, x):
-        # differentiate (t-x)^m f(t) literally s times and evaluate at t=x;
-        # the factor must reproduce it as C(s,m) m! f^{(s-m)}(x)
-        f = Poly(tuple(coeffs))
-        product = (Poly((-x, 1)) ** m) * f
-        for _ in range(s):
-            product = product.derivative()
-        lhs = product(x)
-        factor = psi_power_derivative(m, s)
-        if m > s:
-            assert factor == 0
-            assert lhs == 0
-            return
-        fk = f
-        for _ in range(s - m):
-            fk = fk.derivative()
-        assert lhs == factor * fk(x)

@@ -13,7 +13,6 @@ from expasym.moments import (
     central_moments,
     leading_term_closed_form,
     moment_expansion,
-    raw_moment,
     vanishing_order,
 )
 from expasym.operators import (
@@ -332,26 +331,3 @@ class TestExpansion:
             (g(x) * F(1, n**j) for j, g in expansion.items()), F(0)
         )
         assert total == mu.eval(n, x)
-
-
-class TestRawMoments:
-    def test_constants_are_reproduced(self):
-        table = central_moments(SZASZ, 0)
-        assert raw_moment(table, 0) == MomentPoly.const(1)
-
-    def test_identity_is_reproduced(self):
-        table = central_moments(BERNSTEIN, 1)
-        assert raw_moment(table, 1) == MomentPoly.from_mapping({1: 1})
-
-    @pytest.mark.parametrize("family", [BERNSTEIN, SZASZ, BASKAKOV])
-    def test_second_raw_moment_is_e2_plus_phi_over_n(self, family):
-        table = central_moments(family, 2)
-        want = MomentPoly.from_mapping({2: 1}) + MomentPoly.from_poly(
-            family.phi
-        ) * (RatFuncN.const(1) / RatFuncN.index())
-        assert raw_moment(table, 2) == want
-
-    def test_degree_above_table_raises(self):
-        table = central_moments(BERNSTEIN, 2)
-        with pytest.raises(ValueError):
-            raw_moment(table, 3)
