@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -829,3 +831,26 @@ class TestMakeFamily:
         BERNSTEIN.require_point(F(0))
         GAUSS_WEIERSTRASS.require_point(F(-5), interior=True)
 
+
+class TestOracleIndependence:
+    """operators.py is the oracle: it may share no code with the symbolic
+    side it checks."""
+
+    ALLOWED_FROM_EXACTALG = {"MomentPoly", "Poly", "Rat", "RatFuncN", "Scalar", "_as_rat", "format_rat"}
+    SYMBOLIC = {"moments", "expansion", "verify"}
+
+    def test_imports(self):
+        source = Path(__file__).parent.parent / "src" / "expasym" / "operators.py"
+        tree = ast.parse(source.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = {alias.name.split(".")[-1] for alias in node.names}
+                assert not modules & (self.SYMBOLIC | {"exactalg"}), ast.unparse(node)
+            elif isinstance(node, ast.ImportFrom):
+                module = (node.module or "").split(".")[-1]
+                names = {alias.name for alias in node.names}
+                assert module not in self.SYMBOLIC, ast.unparse(node)
+                if not node.module:  # from . import name
+                    assert not names & (self.SYMBOLIC | {"exactalg"}), ast.unparse(node)
+                if module == "exactalg":
+                    assert names <= self.ALLOWED_FROM_EXACTALG, ast.unparse(node)
