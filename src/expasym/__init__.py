@@ -28,7 +28,7 @@ from .expansion import (
     truncated_sum,
     voronovskaja_limit,
 )
-from .functions import DerivativeCapExceeded, SmoothFunction, parse_function
+from .functions import SmoothFunction, parse_function
 from .moments import (
     MomentTable,
     OrderTooLarge,
@@ -80,7 +80,6 @@ __all__ = [
     "DEFAULT_PRECISION_BITS",
     "DEFAULT_TOL",
     "DenominatorZero",
-    "DerivativeCapExceeded",
     "DerivativeOrderExceedsDegree",
     "ExpansionCoefficient",
     "ExpansionTerm",

@@ -34,7 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import mul
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Rat = Fraction
 
@@ -241,6 +242,113 @@ def horner_pair(coeffs: Sequence[Rat], a: int, b: int, k: int = 0) -> tuple[int,
         num = num * a * q + c.numerator * math.perm(i, k) * den * b
         den *= b * q
     return num, den
+
+
+class FormGroup(NamedTuple):
+    """The cells of an IntegerForm over one denominator R."""
+
+    den: tuple[int, ...]  # R's integer coefficients, constant first
+    cells: tuple[tuple[int, int], ...]  # the (p, j) with some N_i[p, j] != 0
+    columns: tuple[tuple[int, ...], ...]  # per cell, N_i[p, j] for every c_i
+
+
+@dataclass(frozen=True)
+class IntegerForm:
+    """MomentPolys c_0..c_{K-1} on Python ints, for evaluation at rational
+    (n, x) without a RatFuncN.
+
+    Each coefficient's monic denominator splits as n^k R(n) with R(0) != 0,
+    and each distinct R is one group: R scaled to integer coefficients and
+    an integer table N_i[p, j] per c_i, so that
+    c_i(n, x) = sum over groups of sum_{p,j} N_i[p, j] n^j x^p / (scale R(n)),
+    with j < 0 where n^k divides the denominator.  Building takes no
+    polynomial gcd and no division.  At n = a/b, x = c/d all groups share
+    one power list a^(j-low) b^(high-j) and one c^p d^(top-p), so a group
+    sum is an integer over a^(-low) b^high d^top."""
+
+    count: int  # K
+    scale: int
+    low: int  # least n-power, <= 0
+    high: int  # greatest n-power, >= 0
+    top: int  # greatest x-power
+    groups: tuple[FormGroup, ...]
+
+    @classmethod
+    def build(cls, polys: Sequence[MomentPoly]) -> IntegerForm:
+        count = len(polys)
+        tables: dict[tuple[Rat, ...], dict[tuple[int, int], list[Rat]]] = {}
+        for i, poly in enumerate(polys):
+            for p, coeff in poly.terms:
+                den = coeff.den.coeffs
+                k = 0
+                while not den[k]:
+                    k += 1
+                cells = tables.setdefault(den[k:], {})
+                for j, c in enumerate(coeff.num.coeffs):
+                    if c:
+                        cells.setdefault((p, j - k), [Fraction(0)] * count)[i] = c
+        # R times the lcm L of its coefficients' denominators is integral;
+        # its numerators are multiplied by L too, then put over one scale
+        scaled = []
+        for key, cells in tables.items():
+            lcd = math.lcm(*(c.denominator for c in key))
+            rows = [[c * lcd for c in row] for row in cells.values()]
+            scaled.append((tuple(int(c * lcd) for c in key), tuple(cells), rows))
+        scale = math.lcm(1, *(c.denominator for _den, _cells, rows in scaled for row in rows for c in row))
+        groups = tuple(
+            FormGroup(den, cells, tuple(tuple(int(c * scale) for c in row) for row in rows))
+            for den, cells, rows in scaled
+        )
+        powers = [j for cells in tables.values() for _p, j in cells]
+        x_powers = [p for cells in tables.values() for p, _j in cells]
+        return cls(count, scale, min([0, *powers]), max([0, *powers]), max([0, *x_powers]), groups)
+
+    def _at(self, n: Rat, x: Rat):
+        """Per group (the n^j x^p products of its cells, R(n) as an
+        unreduced pair), and the common denominator, all ints."""
+        a, b = n.numerator, n.denominator
+        c, d = x.numerator, x.denominator
+        if a == 0 and self.low < 0:
+            raise DenominatorZero(f"denominator vanishes at n = {format_rat(n)}")
+        low, span, top = self.low, self.high - self.low, self.top
+        a_pow, b_pow, c_pow, d_pow = [1], [1], [1], [1]
+        for _ in range(span):
+            a_pow.append(a_pow[-1] * a)
+            b_pow.append(b_pow[-1] * b)
+        for _ in range(top):
+            c_pow.append(c_pow[-1] * c)
+            d_pow.append(d_pow[-1] * d)
+        n_pow = [a_pow[i] * b_pow[span - i] for i in range(span + 1)]
+        x_pow = [c_pow[p] * d_pow[top - p] for p in range(top + 1)]
+        parts = []
+        for den, cells, columns in self.groups:
+            r_num, r_den = horner_pair(den, a, b)
+            if r_num == 0:
+                raise DenominatorZero(f"denominator vanishes at n = {format_rat(n)}")
+            products = [n_pow[j - low] * x_pow[p] for p, j in cells]
+            parts.append((products, columns, r_num, r_den))
+        return parts, self.scale * a_pow[-low] * b_pow[self.high] * d_pow[top]
+
+    def pair(self, weights: Sequence[int], n: Scalar, x: Scalar) -> tuple[int, int]:
+        """(N, D) with N/D = sum_i weights[i] c_i(n, x) for integer
+        weights, unreduced: the weights merge the tables first, so each
+        cell is multiplied by its power product once."""
+        parts, base = self._at(_as_rat(n), _as_rat(x))
+        num, den = 0, 1
+        for products, columns, r_num, r_den in parts:
+            total = sum(sum(map(mul, weights, column)) * product for column, product in zip(columns, products))
+            num, den = num * r_num + total * r_den * den, den * r_num
+        return num, den * base
+
+    def values(self, n: Scalar, x: Scalar) -> list[Rat]:
+        """[c_0(n, x), ..., c_{K-1}(n, x)], one reduction each."""
+        parts, base = self._at(_as_rat(n), _as_rat(x))
+        nums, dens = [0] * self.count, [1] * self.count
+        for products, columns, r_num, r_den in parts:
+            for i, row in enumerate(zip(*columns)):
+                total = sum(map(mul, row, products))
+                nums[i], dens[i] = nums[i] * r_num + total * r_den * dens[i], dens[i] * r_num
+        return [Fraction(u, v * base) for u, v in zip(nums, dens)]
 
 
 def _primitive(coeffs: list[int]) -> list[int]:

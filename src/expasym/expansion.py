@@ -17,7 +17,10 @@ with index sequence n and vanishing first moment.
 
 Every evaluated form is a weighted sum of derivatives of f at x with
 rational weights; _derivative_sum computes it, exact or mpf as decided in
-expasym.numeric.
+expasym.numeric.  truncated_sum is the r = 0 case of the derivative
+expansion, and both evaluate a memo entry through its IntegerForm, built on
+the entry's first evaluation: when f is a polynomial the weighted sum is one
+integer sum over the form's tables.
 """
 
 from __future__ import annotations
@@ -26,19 +29,20 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .exactalg import MomentPoly, Poly, Rat, Scalar, _as_rat
-from .functions import DerivativeCapExceeded, SmoothFunction
-from .moments import MomentTable, central_moments, moment_expansion
+from .exactalg import IntegerForm, MomentPoly, Poly, Rat, Scalar, _as_rat, horner_pair
+from .moments import central_moments, moment_expansion
 from .numeric import Number, dot
 from .operators import OperatorFamily
 
+if TYPE_CHECKING:
+    from .functions import SmoothFunction
+
 __all__ = [
-    "DerivativeCapExceeded",
     "ExpansionCoefficient",
     "ExpansionTerm",
     "NotPureExponentialIndex",
-    "SmoothFunction",
     "complete_coeffs",
     "derivative_terms",
     "evaluate_derivative_expansion",
@@ -103,16 +107,7 @@ def truncated_sum(
     and rational n, x."""
     if q < 0:
         raise ValueError("q must be >= 0")
-    f.require_order(2 * q)
-    table = central_moments(family, 2 * q)
-    return _derivative_sum(
-        f, x,
-        [
-            (table.moment(s).eval(n, x) * Fraction(1, math.factorial(s)), s)
-            for s in range(2 * q + 1)
-        ],
-        prec,
-    )
+    return _prediction(family, f, x, n, q, 0, prec)
 
 
 def complete_coeffs(family: OperatorFamily, q: int) -> list[ExpansionCoefficient]:
@@ -135,23 +130,27 @@ def complete_coeffs(family: OperatorFamily, q: int) -> list[ExpansionCoefficient
     return out
 
 
-# family -> (q, r) -> Leibniz terms; an entry goes when its family does
+@dataclass
+class _Entry:
+    """A memoised (family, q, r): its Leibniz terms and, from the first
+    evaluation on, their coefficients' IntegerForm."""
+
+    terms: tuple[ExpansionTerm, ...]
+    form: IntegerForm | None = None
+
+
+# family -> (q, r) -> _Entry; an entry goes when its family does
 _TERMS: "weakref.WeakKeyDictionary[OperatorFamily, dict]" = weakref.WeakKeyDictionary()
 
 
-def derivative_terms(
-    family: OperatorFamily, q: int, r: int
-) -> list[ExpansionTerm]:
-    """All Leibniz terms of (d/dx)^r sum_{s<=2q} mu_{n,s} f^{(s)}/s!,
-    ordered by (s_source, i), identically-zero coefficients dropped.
-
-    Memoised per (family, q, r); each call returns a fresh list."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
+def _entry(family: OperatorFamily, q: int, r: int) -> _Entry:
+    if q < 0:
+        raise ValueError("q must be >= 0")
     if r < 0:
         raise ValueError("r must be >= 0")
     known = _TERMS.setdefault(family, {})
-    if (q, r) not in known:
+    entry = known.get((q, r))
+    if entry is None:
         table = central_moments(family, 2 * q)
         out = []
         for s_source in range(2 * q + 1):
@@ -163,8 +162,19 @@ def derivative_terms(
                         ExpansionTerm(s_source, i, s_source + r - i, coefficient)
                     )
                 current = current.dx()
-        known[(q, r)] = tuple(out)
-    return list(known[(q, r)])
+        entry = known[(q, r)] = _Entry(tuple(out))
+    return entry
+
+
+def derivative_terms(
+    family: OperatorFamily, q: int, r: int
+) -> list[ExpansionTerm]:
+    """All Leibniz terms of (d/dx)^r sum_{s<=2q} mu_{n,s} f^{(s)}/s!,
+    ordered by (s_source, i), identically-zero coefficients dropped; at
+    q = 0 the only term is f^{(r)}.
+
+    Memoised per (family, q, r); each call returns a fresh list."""
+    return list(_entry(family, q, r).terms)
 
 
 def evaluate_derivative_expansion(
@@ -178,11 +188,38 @@ def evaluate_derivative_expansion(
 ) -> Number:
     """The derivative expansion evaluated at rational (n, x); the
     prediction that operator evaluations are compared against."""
-    f.require_order(2 * q + r)
-    terms = derivative_terms(family, q, r)
-    return _derivative_sum(
-        f, x, [(term.coefficient.eval(n, x), term.s) for term in terms], prec
-    )
+    return _prediction(family, f, x, n, q, r, prec)
+
+
+def _prediction(
+    family: OperatorFamily,
+    f: SmoothFunction,
+    x: Scalar,
+    n: Scalar,
+    q: int,
+    r: int,
+    prec: int | None,
+) -> Number:
+    """The terms of derivative_terms(family, q, r) summed against f at
+    (n, x).  For a polynomial f = P/L (P integral, degree e) and x = c/d,
+    f^{(s)}(x) = u_s / (L d^e) with u_s an integer, so the whole sum is
+    the form's integer pair for the weights u_s over L d^e: one Fraction.
+    Otherwise each term's weight, == its coefficient.eval(n, x), goes to
+    _derivative_sum."""
+    entry = _entry(family, q, r)
+    if entry.form is None:
+        entry.form = IntegerForm.build([term.coefficient for term in entry.terms])
+    x, n = _as_rat(x), _as_rat(n)
+    poly = f.as_poly()
+    if poly is None:
+        weights = entry.form.values(n, x)
+        return _derivative_sum(f, x, [(w, term.s) for w, term in zip(weights, entry.terms)], prec)
+    scale = math.lcm(*(coeff.denominator for coeff in poly.coeffs))
+    coeffs = [coeff.numerator * (scale // coeff.denominator) for coeff in poly.coeffs]
+    c, d = x.numerator, x.denominator
+    numerators = {s: horner_pair(coeffs, c, d, s)[0] * d**s for s in {term.s for term in entry.terms}}
+    num, den = entry.form.pair([numerators[term.s] for term in entry.terms], n, x)
+    return Fraction(num, den * scale * d ** max(poly.degree, 0))
 
 
 def voronovskaja_limit(
@@ -197,7 +234,6 @@ def voronovskaja_limit(
     if r < 0:
         raise ValueError("r must be >= 0")
     _require_pure(family)
-    f.require_order(r + 2)
     x = _as_rat(x)
     phi_derivs = [family.phi]
     while not phi_derivs[-1].is_zero:

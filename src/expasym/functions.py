@@ -31,22 +31,15 @@ SIN = "sin"
 _STREAM_GUARD_BITS = 32
 
 
-class DerivativeCapExceeded(ValueError):
-    """A derivative order beyond the declared smoothness cap was requested."""
-
-
 @dataclass(frozen=True)
 class SmoothFunction:
-    """Tagged closed-form function with exact derivative data.
-
-    derivative_cap is None for the unbounded-smoothness variants shipped
-    here; a finite cap makes order checks enforceable."""
+    """Tagged closed-form function with exact derivative data; every
+    variant is infinitely smooth."""
 
     kind: str
     poly: Poly | None = None
     a: Rat = Fraction(0)
     b: Rat = Fraction(0)
-    derivative_cap: int | None = None
 
     @classmethod
     def polynomial(cls, p: Poly | Sequence[Scalar]) -> SmoothFunction:
@@ -68,12 +61,6 @@ class SmoothFunction:
     def sinusoid(cls, a: Scalar, b: Scalar) -> SmoothFunction:
         return cls(SIN, a=_as_rat(a), b=_as_rat(b))
 
-    def require_order(self, k: int) -> None:
-        if self.derivative_cap is not None and k > self.derivative_cap:
-            raise DerivativeCapExceeded(
-                f"derivative order {k} exceeds cap {self.derivative_cap}"
-            )
-
     @property
     def is_polynomial(self) -> bool:
         return self.kind == POLY
@@ -91,7 +78,6 @@ class SmoothFunction:
         p = self.as_poly()
         if p is None:
             raise ValueError("closed-form polynomial requested of a non-polynomial")
-        self.require_order(k)
         for _ in range(k):
             p = p.derivative()
         return p
@@ -99,7 +85,6 @@ class SmoothFunction:
     def eval_exact(self, t: Scalar, k: int = 0) -> Rat | None:
         """Exact rational value of the k-th derivative, or None when the
         value is irrational."""
-        self.require_order(k)
         t = _as_rat(t)
         p = self.as_poly()
         if p is None:
@@ -116,7 +101,6 @@ class SmoothFunction:
 
     def eval_mpf(self, t, k: int = 0):
         """k-th derivative at t, computed at the ambient mpmath precision."""
-        self.require_order(k)
         exact = self.eval_exact(t, k) if is_exact(t) else None
         if exact is not None:
             return to_mpf(exact)

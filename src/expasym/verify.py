@@ -208,7 +208,6 @@ def residual_study(
     x = _as_rat(x)
     if q < 1:
         raise ValueError("q must be >= 1")
-    f.require_order(2 * q + r + 2)
     family.require_point(x, interior=True)
     grid = _validate_grid(grid)
     values = []
@@ -297,7 +296,6 @@ def voronovskaja_study(
     order is fitted only when at least three d_n lie above the noise floor
     16 tol max(grid)."""
     x = _as_rat(x)
-    f.require_order(r + 4)
     family.require_point(x, interior=True)
     grid = _validate_grid(grid)
     limit = voronovskaja_limit(family, f, x, r, prec=prec)

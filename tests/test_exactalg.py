@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from expasym.exactalg import (
     DenominatorZero,
+    IntegerForm,
     LaurentSeries,
     MomentPoly,
     Poly,
@@ -340,6 +341,49 @@ class TestMomentPoly:
             assert a.dx().is_zero
         else:
             assert a.dx().x_degree == a.x_degree - 1
+
+
+class TestIntegerForm:
+    """IntegerForm against MomentPoly.eval, coefficient by coefficient."""
+
+    @given(
+        st.lists(moment_polys, max_size=3),
+        st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+        rationals,
+        rationals,
+    )
+    @settings(max_examples=60)
+    def test_matches_eval(self, polys, weights, n, x):
+        form = IntegerForm.build(polys)
+        want = outcome(lambda: [m.eval(n, x) for m in polys])
+        got = outcome(form.values, n, x)
+        assert got == want
+        if not isinstance(want, str):
+            assert all(type(v) is F for v in got)
+            num, den = form.pair(weights[: len(polys)], n, x)
+            assert F(num, den) == sum((w * v for w, v in zip(weights, want)), F(0))
+
+    def test_denominators_split_off_their_powers_of_n(self):
+        # 1/n and (n + 1)/(n^3 + n^2/2) x^2 share R = 1 after n^k comes off
+        # (j = -1, 0, -2); 1/(n + 1/2) is a second group, R = 2n + 1
+        polys = [
+            MomentPoly.from_mapping({0: 1 / RatFuncN.index(), 2: RatFuncN(Poly((1, 1)), Poly((0, 0, F(1, 2), 1)))}),
+            MomentPoly.from_mapping({1: RatFuncN(Poly.const(F(2, 3)), Poly((F(1, 2), 1)))}),
+        ]
+        form = IntegerForm.build(polys)
+        assert [group.den for group in form.groups] == [(1,), (1, 2)]
+        assert (form.low, form.high, form.top) == (-2, 0, 2)
+        n, x = F(5, 3), F(-7, 4)
+        assert form.values(n, x) == [m.eval(n, x) for m in polys]
+        with pytest.raises(DenominatorZero, match="^denominator vanishes at n = 0$"):
+            form.values(0, x)
+        with pytest.raises(DenominatorZero, match="^denominator vanishes at n = -1/2$"):
+            form.values(F(-1, 2), x)
+
+    def test_no_polynomials(self):
+        form = IntegerForm.build([])
+        assert form.values(3, F(1, 2)) == []
+        assert form.pair([], 3, F(1, 2)) == (0, 1)
 
 
 class TestLaurent:

@@ -7,8 +7,9 @@ import pytest
 from mpmath import mp
 
 from expasym import expansion
-from expasym.exactalg import MomentPoly, Poly
+from expasym.exactalg import IntegerForm, MomentPoly, Poly
 from expasym.expansion import (
+    ExpansionTerm,
     NotPureExponentialIndex,
     complete_coeffs,
     derivative_terms,
@@ -16,8 +17,9 @@ from expasym.expansion import (
     truncated_sum,
     voronovskaja_limit,
 )
-from expasym.functions import SmoothFunction, to_mpf
+from expasym.functions import SmoothFunction, parse_function, to_mpf
 from expasym.moments import central_moments
+from expasym.numeric import dot
 from expasym.operators import (
     BASKAKOV,
     BERNSTEIN,
@@ -113,11 +115,31 @@ class TestTruncatedSum:
             want = mp.exp(1) * (1 + to_mpf(F(1, 100)))
             assert abs(got - want) < mp.mpf(2) ** -200
 
+    @pytest.mark.parametrize("spec", ["poly:1,-2,1/3,5,-7/8", "exp:0", "sin:2,1/3"])
+    def test_is_the_r_zero_derivative_expansion(self, spec):
+        f = parse_function(spec)
+        for q in range(3):
+            got = truncated_sum(BASKAKOV, f, F(2, 3), 17, q, prec=128)
+            want = evaluate_derivative_expansion(BASKAKOV, f, F(2, 3), 17, q, 0, prec=128)
+            assert got == want and type(got) is type(want)
+
 
 class TestDerivativeTerms:
     def test_r_zero_collapses_to_moment_sum(self):
         terms = derivative_terms(BERNSTEIN, 1, 0)
         assert [(t.s_source, t.i, t.s) for t in terms] == [(0, 0, 0), (2, 0, 2)]
+
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    def test_q_zero_is_the_r_th_derivative(self, r):
+        assert derivative_terms(SZASZ, 0, r) == [ExpansionTerm(0, 0, r, MomentPoly.const(1))]
+        f = SmoothFunction.polynomial([1, 2, 3, 4])
+        assert evaluate_derivative_expansion(SZASZ, f, F(1, 3), 9, 0, r) == f.eval_exact(F(1, 3), r)
+
+    def test_negative_orders_rejected(self):
+        with pytest.raises(ValueError, match="q must be >= 0"):
+            derivative_terms(BERNSTEIN, -1, 0)
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            derivative_terms(BERNSTEIN, 1, -1)
 
     def test_term_bookkeeping(self):
         for term in derivative_terms(SZASZ, 2, 2):
@@ -162,6 +184,69 @@ class TestDerivativeTerms:
         for _ in range(r):
             symbolic = symbolic.derivative()
         assert evaluate_derivative_expansion(family, f, x, n, q, r) == symbolic(x)
+
+
+def reference_prediction(family, f, x, n, q, r, prec):
+    """The Leibniz sum one coefficient at a time: MomentPoly.eval of each
+    term, zero weights dropped, the rest through numeric.dot."""
+    weighted = [(term.coefficient.eval(n, x), term.s) for term in derivative_terms(family, q, r)]
+    weighted = [(w, s) for w, s in weighted if w]
+    return dot([w for w, _s in weighted], [f.eval_number(x, s, prec) for _w, s in weighted], prec)
+
+
+# n and x with 20-digit denominators, and points where a coefficient
+# vanishes: phi = 0 at x = 0 (bernstein, szasz, baskakov) and at x = 1
+# (bernstein); the synthetic mu_1 at x = 1/2 and its mu_2 coefficient
+# (n - 1)/(2(n + 1)^2) at n = 1
+FORM_POINTS = [
+    (F(7), F(2, 5)),
+    (F(1), F(1, 2)),
+    (F(4096), F(1)),
+    (F(64), F(0)),
+    (F(3 * 10**19 + 1, 10**19 + 7), F(10**19 - 3, 3 * 10**19 + 11)),
+]
+
+
+class TestIntegerFormPrediction:
+    """evaluate_derivative_expansion through the memo entry's IntegerForm
+    against reference_prediction: exact results ==, mpf ones bit for bit."""
+
+    @pytest.mark.parametrize("spec", ["poly:1,-2,1/3,5,-7/8", "exp:0", "exp:1", "sin:2,1/3"])
+    @pytest.mark.parametrize(
+        "family", [BERNSTEIN, SZASZ, BASKAKOV, GAUSS_WEIERSTRASS, synthetic_family()],
+        ids=lambda family: family.id,
+    )
+    def test_matches_the_reference_sum(self, family, spec):
+        f = parse_function(spec)
+        for q in range(4):
+            for r in range(4):
+                for n, x in FORM_POINTS:
+                    got = evaluate_derivative_expansion(family, f, x, n, q, r, prec=256)
+                    want = reference_prediction(family, f, x, n, q, r, 256)
+                    assert type(got) is type(want)
+                    assert got == want, (q, r, n, x)
+
+    def test_points_include_vanishing_coefficients(self):
+        for family, n, x in ((BERNSTEIN, F(4096), F(1)), (synthetic_family(), F(1), F(1, 2))):
+            assert (n, x) in FORM_POINTS
+            terms = derivative_terms(family, 2, 1)
+            assert any(term.coefficient.eval(n, x) == 0 for term in terms)
+
+    def test_erased_memo_rebuilds_the_form(self):
+        f, x, n = SmoothFunction.polynomial([1, -2, F(1, 3)]), F(1, 3), F(9)
+        expansion._TERMS.pop(BASKAKOV, None)
+        terms = derivative_terms(BASKAKOV, 2, 1)
+        entry = expansion._TERMS[BASKAKOV][2, 1]
+        assert entry.form is None  # derivative_terms builds no form
+        first = evaluate_derivative_expansion(BASKAKOV, f, x, n, 2, 1)
+        built = entry.form
+        assert built == IntegerForm.build([term.coefficient for term in terms])
+        evaluate_derivative_expansion(BASKAKOV, f, x, n, 2, 1)
+        assert entry.form is built
+        expansion._TERMS.pop(BASKAKOV)
+        assert evaluate_derivative_expansion(BASKAKOV, f, x, n, 2, 1) == first
+        rebuilt = expansion._TERMS[BASKAKOV][2, 1].form
+        assert rebuilt is not built and rebuilt == built
 
 
 class TestDerivativeTermsMemo:

@@ -8,7 +8,6 @@ from mpmath import mp
 
 from expasym.exactalg import Poly
 from expasym.functions import (
-    DerivativeCapExceeded,
     SmoothFunction,
     parse_function,
     to_mpf,
@@ -36,15 +35,6 @@ class TestConstruction:
         assert SmoothFunction.exponential(1).describe() == "exp(1*t)"
         assert SmoothFunction.sinusoid(1, 0).describe() == "sin(1*t + 0)"
         assert SmoothFunction.monomial(2).describe() == "poly(t^2)"
-
-    def test_require_order_unbounded_by_default(self):
-        SmoothFunction.exponential(2).require_order(100)
-
-    def test_finite_cap_enforced(self):
-        f = SmoothFunction(kind="poly", poly=Poly((1,)), derivative_cap=3)
-        f.require_order(3)
-        with pytest.raises(DerivativeCapExceeded):
-            f.require_order(4)
 
 
 class TestExactEvaluation:

@@ -23,6 +23,7 @@ from expasym.operators import (
     PrecisionTooLow,
     QuadratureNotConverged,
     _bernstein_integer_sum,
+    _growth_stretch,
     baskakov_eval,
     bernstein_eval,
     central_moment_direct,
@@ -367,6 +368,17 @@ class TestBaskakov:
         check_growth(BASKAKOV, hot, None, None)  # nothing to check yet
 
 
+@pytest.mark.parametrize("z", [F(1, 2), F(1), F(5, 2), F(37, 8), F(40)])
+def test_growth_stretch_is_a_tight_exponential_bound(z):
+    # (193/71)^floor(z) times a Taylor sum with its remainder: above e^z,
+    # and above it by about 1.04e-5 per unit of z
+    with mp.workprec(200):
+        bound, exact = to_mpf(_growth_stretch(z, 1)), mp.exp(to_mpf(z))
+        assert bound >= exact
+        assert bound - exact <= mp.mpf("1e-4") * to_mpf(z) * exact
+    assert _growth_stretch(4 * z, 4) == _growth_stretch(z, 1)
+
+
 def _szasz_closed_form(n, x, r, rate):
     # S_n(e^{ct})^{(r)}(x) = (n(e^{c/n}-1))^r exp(nx(e^{c/n}-1)); rate may be complex
     z = mp.exp(rate / n) - 1
@@ -491,6 +503,17 @@ class TestSeriesWindow:
         with mp.workprec(400):
             got = evaluate(f, n, x, r, tol=tol)
             assert abs(got - closed_form(n, x, r, mp.mpf(5) / 2)) <= to_mpf(tol)
+
+    def test_tight_majorant_accepts_what_the_precision_resolves(self):
+        # S_1 e^{5t/2} at x = 13/8 is about 9.7e9: 256 bits resolve 1e-60,
+        # which the 3^ceil(z) majorant (27 for e^{5/2} = 12.2) refused; at
+        # x = 37/8 the result is about 3.6e24 and needs about 281 bits
+        f, tol = SmoothFunction.exponential(F(5, 2)), F(1, 10**60)
+        with mp.workprec(400):
+            got = szasz_eval(f, 1, F(13, 8), 2, tol=tol)
+            assert abs(got - _szasz_closed_form(1, F(13, 8), 2, mp.mpf(5) / 2)) <= to_mpf(tol)
+        with pytest.raises(PrecisionTooLow, match="term bound"):
+            szasz_eval(f, 1, F(37, 8), 2, tol=tol)
 
     def test_term_beyond_precision_refused(self):
         # S_1 e^{6t} at x = 20 is about e^8048: no 256-bit sum meets 1e-30
