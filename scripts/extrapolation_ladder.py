@@ -10,9 +10,9 @@ from fractions import Fraction
 from mpmath import mp
 
 from expasym.expansion import voronovskaja_limit
+from expasym.families import FAMILIES
 from expasym.functions import parse_function
-from expasym.numeric import subtract
-from expasym.operators import DEFAULT_TOL, FAMILIES
+from expasym.numeric import DEFAULT_TOL, subtract
 from expasym.verify import AllResidualsZero, fit_order, richardson, scaled_defects
 
 PREC = 256

@@ -8,121 +8,74 @@ Baskakov, and Gauss-Weierstrass families, plus a verification harness
 that measures convergence orders and identity defects.
 """
 
-from .exactalg import (
-    DenominatorZero,
-    LaurentSeries,
-    MomentPoly,
-    Poly,
-    Rat,
-    RatFuncN,
-    format_rat,
-    laurent_at_infinity,
-)
-from .expansion import (
-    ExpansionCoefficient,
-    ExpansionTerm,
-    NotPureExponentialIndex,
-    complete_coeffs,
-    derivative_terms,
-    evaluate_derivative_expansion,
-    truncated_sum,
-    voronovskaja_limit,
-)
-from .functions import SmoothFunction, parse_function
-from .moments import (
-    MomentTable,
-    OrderTooLarge,
-    ZeroMoment,
-    central_moments,
-    leading_term_closed_form,
-    moment_expansion,
-    vanishing_order,
-)
-from .numeric import DEFAULT_PRECISION_BITS
-from .operators import (
-    BASKAKOV,
-    BERNSTEIN,
-    DEFAULT_TOL,
-    FAMILIES,
-    GAUSS_WEIERSTRASS,
-    SZASZ,
-    DerivativeOrderExceedsDegree,
-    GrowthBoundViolated,
-    Interval,
-    OperatorFamily,
-    PrecisionTooLow,
-    QuadratureNotConverged,
-    central_moment_direct,
-    get_family,
-    make_family,
-    operator_eval,
-)
-from .verify import (
-    AllResidualsZero,
-    ConvergenceReport,
-    GridNotDyadic,
-    PhiVanishes,
-    fit_order,
-    ode_identity_check,
-    psi_m_derivative_identity_check,
-    residual_study,
-    richardson,
-    voronovskaja_study,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllResidualsZero",
-    "BASKAKOV",
-    "BERNSTEIN",
-    "ConvergenceReport",
-    "DEFAULT_PRECISION_BITS",
-    "DEFAULT_TOL",
-    "DenominatorZero",
-    "DerivativeOrderExceedsDegree",
-    "ExpansionCoefficient",
-    "ExpansionTerm",
-    "FAMILIES",
-    "GAUSS_WEIERSTRASS",
-    "GridNotDyadic",
-    "GrowthBoundViolated",
-    "Interval",
-    "LaurentSeries",
-    "MomentPoly",
-    "MomentTable",
-    "NotPureExponentialIndex",
-    "OperatorFamily",
-    "OrderTooLarge",
-    "PhiVanishes",
-    "Poly",
-    "PrecisionTooLow",
-    "QuadratureNotConverged",
-    "Rat",
-    "RatFuncN",
-    "SZASZ",
-    "SmoothFunction",
-    "ZeroMoment",
-    "central_moment_direct",
-    "central_moments",
-    "complete_coeffs",
-    "derivative_terms",
-    "evaluate_derivative_expansion",
-    "fit_order",
-    "format_rat",
-    "get_family",
-    "laurent_at_infinity",
-    "leading_term_closed_form",
-    "make_family",
-    "moment_expansion",
-    "ode_identity_check",
-    "operator_eval",
-    "parse_function",
-    "psi_m_derivative_identity_check",
-    "residual_study",
-    "richardson",
-    "truncated_sum",
-    "vanishing_order",
-    "voronovskaja_limit",
-    "voronovskaja_study",
-]
+# public name -> the module that defines it; each is imported on first use
+# (PEP 562), so importing one module of the package loads only what that
+# module needs
+_SOURCES = {
+    "AllResidualsZero": "verify",
+    "BASKAKOV": "families",
+    "BERNSTEIN": "families",
+    "ConvergenceReport": "verify",
+    "DEFAULT_PRECISION_BITS": "numeric",
+    "DEFAULT_TOL": "numeric",
+    "DenominatorZero": "exactalg",
+    "DerivativeOrderExceedsDegree": "operators",
+    "ExpansionCoefficient": "expansion",
+    "ExpansionTerm": "expansion",
+    "FAMILIES": "families",
+    "GAUSS_WEIERSTRASS": "families",
+    "GridNotDyadic": "verify",
+    "GrowthBoundViolated": "operators",
+    "Interval": "families",
+    "LaurentSeries": "exactalg",
+    "MomentPoly": "exactalg",
+    "MomentTable": "moments",
+    "NotPureExponentialIndex": "expansion",
+    "OperatorFamily": "families",
+    "OrderTooLarge": "moments",
+    "PhiVanishes": "verify",
+    "Poly": "exactalg",
+    "PrecisionTooLow": "operators",
+    "QuadratureNotConverged": "operators",
+    "Rat": "exactalg",
+    "RatFuncN": "exactalg",
+    "SZASZ": "families",
+    "SmoothFunction": "functions",
+    "ZeroMoment": "moments",
+    "central_moment_direct": "operators",
+    "central_moments": "moments",
+    "complete_coeffs": "expansion",
+    "derivative_terms": "expansion",
+    "evaluate_derivative_expansion": "expansion",
+    "fit_order": "verify",
+    "format_rat": "exactalg",
+    "get_family": "families",
+    "laurent_at_infinity": "exactalg",
+    "leading_term_closed_form": "moments",
+    "make_family": "families",
+    "moment_expansion": "moments",
+    "ode_identity_check": "verify",
+    "operator_eval": "operators",
+    "parse_function": "functions",
+    "psi_m_derivative_identity_check": "verify",
+    "residual_study": "verify",
+    "richardson": "verify",
+    "truncated_sum": "expansion",
+    "vanishing_order": "moments",
+    "voronovskaja_limit": "expansion",
+    "voronovskaja_study": "verify",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value

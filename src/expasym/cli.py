@@ -13,7 +13,9 @@ One executable, seven subcommands:
 Exit status: 0 = computed (and passed, where a pass criterion exists),
 1 = computed but failed, 2 = unusable config or a computation error.
 Identical configs produce byte-identical output; every emitted report
-carries the settings that produced it.
+carries the settings that produced it.  Each subcommand imports the
+modules it uses when it runs, so moments and expansion start without
+mpmath.
 """
 
 from __future__ import annotations
@@ -26,28 +28,15 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .exactalg import format_rat
-from .expansion import complete_coeffs
-from .functions import SmoothFunction, parse_function
-from .moments import central_moments, moment_expansion
-from .numeric import DEFAULT_PRECISION_BITS, abs_le, format_number, resolve_precision
-from .operators import (
-    DEFAULT_TOL,
-    OperatorFamily,
-    check_growth,
-    get_family,
-    operator_eval,
-)
-from .verify import (
-    ConvergenceReport,
-    ode_identity_check,
-    psi_m_derivative_identity_check,
-    residual_study,
-    richardson,
-    scaled_defects,
-    voronovskaja_study,
-)
+from .families import OperatorFamily, get_family
+from .numeric import DEFAULT_PRECISION_BITS, DEFAULT_TOL, abs_le, format_number, resolve_precision
+
+if TYPE_CHECKING:
+    from .functions import SmoothFunction
+    from .verify import ConvergenceReport
 
 PRECISION_ENV = "EXPASYM_PRECISION_BITS"
 FORMATS = ("text", "json", "csv")
@@ -177,7 +166,11 @@ def _resolve_precision_bits(flag: int | None) -> int:
 def _config_from(ns: argparse.Namespace) -> RunConfig:
     get = lambda name, default=None: getattr(ns, name, default)
     family = get_family(ns.family) if get("family") else None
-    f = parse_function(ns.f) if get("f") else None
+    f = None
+    if get("f"):
+        from .functions import parse_function
+
+        f = parse_function(ns.f)
     x = parse_rational(ns.x) if get("x") else None
     tol = parse_rational(ns.tol) if get("tol") else DEFAULT_TOL
     if tol <= 0:
@@ -238,6 +231,8 @@ def _validate(config: RunConfig) -> None:
         c.family.require_point(c.x, interior=interior)
     # Baskakov cannot sum fast-growing f; refuse it on the expansion sides too
     if c.f is not None and c.family is not None:
+        from .operators import check_growth
+
         n_low = c.n if c.n is not None else (min(c.grid) if c.grid else None)
         check_growth(c.family, c.f, n_low, c.x)
     # truncated_sum has no derivative order and would ignore --r
@@ -273,6 +268,8 @@ def _settings(config: RunConfig) -> dict:
 
 
 def _run_moments(c: RunConfig) -> tuple[str, bool]:
+    from .moments import central_moments, moment_expansion
+
     table = central_moments(c.family, c.s_max)
     if c.fmt == "text":
         lines = [
@@ -301,6 +298,8 @@ def _run_moments(c: RunConfig) -> tuple[str, bool]:
 
 
 def _run_expansion(c: RunConfig) -> tuple[str, bool]:
+    from .expansion import complete_coeffs
+
     coeffs = complete_coeffs(c.family, c.q)
     if c.fmt == "text":
         lines = []
@@ -327,6 +326,7 @@ def _run_expansion(c: RunConfig) -> tuple[str, bool]:
 
 def _run_evaluate(c: RunConfig) -> tuple[str, bool]:
     from .expansion import evaluate_derivative_expansion, truncated_sum
+    from .operators import operator_eval
 
     if c.side == "operator":
         value = operator_eval(
@@ -369,6 +369,8 @@ def _report_output(c: RunConfig, report: ConvergenceReport) -> str:
 
 
 def _run_verify(c: RunConfig) -> tuple[str, bool]:
+    from .verify import residual_study
+
     report = residual_study(
         c.family, c.f, c.x, c.r, c.q, c.grid,
         tol=c.tol, prec=c.precision_bits, quad_order=c.quad_order,
@@ -377,6 +379,8 @@ def _run_verify(c: RunConfig) -> tuple[str, bool]:
 
 
 def _run_voronovskaja(c: RunConfig) -> tuple[str, bool]:
+    from .verify import voronovskaja_study
+
     report = voronovskaja_study(
         c.family, c.f, c.x, c.r, c.grid,
         tol=c.tol, prec=c.precision_bits, quad_order=c.quad_order,
@@ -385,6 +389,8 @@ def _run_voronovskaja(c: RunConfig) -> tuple[str, bool]:
 
 
 def _run_extrapolate(c: RunConfig) -> tuple[str, bool]:
+    from .verify import richardson, scaled_defects
+
     values = scaled_defects(
         c.family, c.f, c.x, c.r, c.grid, c.tol, c.precision_bits, c.quad_order
     )
@@ -417,6 +423,8 @@ def _run_extrapolate(c: RunConfig) -> tuple[str, bool]:
 
 
 def _run_identities(c: RunConfig) -> tuple[str, bool]:
+    from .verify import ode_identity_check, psi_m_derivative_identity_check
+
     checks = []
     defect = ode_identity_check(
         c.family, c.f, c.n, c.x,

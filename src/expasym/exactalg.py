@@ -561,10 +561,6 @@ class MomentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def x_degree(self) -> int:
-        return self.terms[-1][0] if self.terms else -1
-
     def coefficient(self, power: int) -> RatFuncN:
         for p, c in self.terms:
             if p == power:

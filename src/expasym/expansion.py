@@ -32,9 +32,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exactalg import IntegerForm, MomentPoly, Poly, Rat, Scalar, _as_rat, horner_pair
+from .families import OperatorFamily
 from .moments import central_moments, moment_expansion
 from .numeric import Number, dot
-from .operators import OperatorFamily
 
 if TYPE_CHECKING:
     from .functions import SmoothFunction

@@ -202,15 +202,6 @@ class SmoothFunction:
             return f"exp({format_rat(self.a)}*t)"
         return f"sin({format_rat(self.a)}*t + {format_rat(self.b)})"
 
-    def spec_text(self) -> str:
-        """Round-trippable CLI grammar form."""
-        if self.kind == POLY:
-            coeffs = self.poly.coeffs or (Fraction(0),)
-            return "poly:" + ",".join(format_rat(c) for c in coeffs)
-        if self.kind == EXP:
-            return f"exp:{format_rat(self.a)}"
-        return f"sin:{format_rat(self.a)},{format_rat(self.b)}"
-
 
 def parse_function(spec: str) -> SmoothFunction:
     """Parse the mini-grammar poly:c0,c1,... | exp:a | sin:a,b."""

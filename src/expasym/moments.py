@@ -43,7 +43,7 @@ from .exactalg import (
     laurent_at_infinity,
     poly_gcd,
 )
-from .operators import OperatorFamily
+from .families import OperatorFamily
 
 MAX_MOMENT_ORDER = 64
 

@@ -10,23 +10,27 @@ Precision: all floating work uses mpmath at a configurable bit count
 (default 256, minimum 64) plus GUARD_BITS; BigFloat is the mpf type.  The
 long sums of the direct evaluators run in fixed point instead: a value v
 is the Python int floor(v 2^bits) (to_fixed), and only their final total
-comes back to an mpf (from_fixed), in one rounding.
+comes back to an mpf (from_fixed), in one rounding.  mpmath is imported by
+the functions that use it, so the exact paths and the precision rule load
+without it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence, Union
-
-from mpmath import mp, mpf as BigFloat
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .exactalg import Rat, format_rat
+
+if TYPE_CHECKING:
+    from mpmath import mpf as BigFloat
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 64
 GUARD_BITS = 32
+DEFAULT_TOL = Fraction(1, 10**30)
 
-Number = Union[Rat, BigFloat]
+Number = Union[Rat, "BigFloat"]
 
 
 def resolve_precision(prec: int | None) -> int:
@@ -38,11 +42,15 @@ def resolve_precision(prec: int | None) -> int:
 
 def working(prec: int | None):
     """Precision context for evaluator internals (guard bits included)."""
+    from mpmath import mp
+
     return mp.workprec(resolve_precision(prec) + GUARD_BITS)
 
 
 def to_mpf(value):
     """Convert Rat/int/float/mpf to mpf at the ambient precision."""
+    from mpmath import mp
+
     if isinstance(value, Fraction):
         return mp.mpf(value.numerator) / mp.mpf(value.denominator)
     return mp.mpf(value)
@@ -58,6 +66,8 @@ def to_fixed(value: BigFloat, bits: int) -> int:
 
 def from_fixed(total: int, bits: int) -> BigFloat:
     """total / 2^bits as an mpf at the ambient precision, rounded once."""
+    from mpmath import mp
+
     return mp.ldexp(mp.mpf(total), -bits)
 
 
@@ -105,6 +115,8 @@ def abs_le(value: Number, bound: Rat) -> bool:
     """|value| <= bound, decided exactly: an mpf is a dyadic rational."""
     if is_exact(value):
         return abs(Fraction(value)) <= bound
+    from mpmath import mp
+
     if not mp.isfinite(value):
         return False
     man, exp = value.man_exp
@@ -123,4 +135,6 @@ def format_number(value: Number) -> str:
         return format_rat(Fraction(value))
     if value == 0:
         return "0"
+    from mpmath import mp
+
     return mp.nstr(value, 24)

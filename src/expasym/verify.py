@@ -23,7 +23,6 @@ magnitude, rendering) is made by expasym.numeric.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,9 +31,11 @@ from mpmath import mp
 
 from .exactalg import Poly, Rat, Scalar, _as_rat, format_rat
 from .expansion import evaluate_derivative_expansion, voronovskaja_limit
+from .families import OperatorFamily
 from .functions import SmoothFunction
 from .moments import central_moments
 from .numeric import (
+    DEFAULT_TOL,
     Number,
     abs_le,
     combine,
@@ -44,7 +45,7 @@ from .numeric import (
     subtract,
     to_mpf,
 )
-from .operators import DEFAULT_TOL, OperatorFamily, PrecisionTooLow, operator_eval
+from .operators import PrecisionTooLow, operator_eval
 
 RATIO_BAND = (0.35, 0.65)
 SLOPE_SLACK = 0.75
@@ -346,25 +347,30 @@ def _require_interior(family: OperatorFamily, x: Rat) -> None:
         )
 
 
-@contextmanager
-def _inner_tol(tol: Rat, n: int, extra: int):
-    """Yield the tol tol/(32 (n + extra)) that an identity check passes to
-    each operator value; a PrecisionTooLow raised under it is raised again
-    naming the caller's tol and that factor."""
-    inner = tol / (32 * (n + extra))
+def _right_side(
+    family: OperatorFamily, f: SmoothFunction, m: int, n: int, x: Rat,
+    cases: Sequence[tuple[int, int]], tol: Rat, prec: int | None, quad_order: int,
+) -> tuple[Rat, list[Number]]:
+    """lambda_n(n)/phi(x) and the direct values of the psi^m identity (m = 0:
+    the first-order one), (S_n(psi_x^p f))^{(r)}(x) for each (p, r) in cases
+    in order, then S_n(psi_x)(x), each to tol/(32 (n + m + 2)); a
+    PrecisionTooLow raised there is raised again naming tol and that factor."""
+    inner = tol / (32 * (n + m + 2))
+    kwargs = dict(tol=inner, prec=prec, quad_order=quad_order)
+    psi = Poly((-x, Fraction(1)))
     try:
-        yield inner
+        values = [
+            operator_eval(family, SmoothFunction.polynomial(psi**p * f.poly), n, x, r, **kwargs)
+            for p, r in cases
+        ]
+        values.append(operator_eval(family, SmoothFunction.polynomial(psi), n, x, 0, **kwargs))
     except PrecisionTooLow as exc:
         raise PrecisionTooLow(
             f"identity tol {mp.nstr(to_mpf(tol), 3)} becomes"
-            f" tol/(32*({n} + {extra})) = {mp.nstr(to_mpf(inner), 3)}"
+            f" tol/(32*({n} + {m + 2})) = {mp.nstr(to_mpf(inner), 3)}"
             f" per operator value: {exc}"
         ) from exc
-
-
-def _psi_times(f: SmoothFunction, x: Rat, power: int) -> SmoothFunction:
-    psi = Poly((-x, Fraction(1))) ** power
-    return SmoothFunction.polynomial(psi * f.poly)
+    return family.lambda_n.eval(n) / family.phi(x), values
 
 
 def ode_identity_check(
@@ -384,15 +390,10 @@ def ode_identity_check(
     if not f.is_polynomial:
         raise ValueError("identity checks need polynomial f")
     _require_interior(family, x)
-    with _inner_tol(tol, n, 2) as inner_tol:
-        kwargs = dict(tol=inner_tol, prec=prec, quad_order=quad_order)
-        lhs = operator_eval(family, f, n, x, 1, **kwargs)
-        s_f = operator_eval(family, f, n, x, 0, **kwargs)
-        s_psi_f = operator_eval(family, _psi_times(f, x, 1), n, x, 0, **kwargs)
-        s_psi = operator_eval(
-            family, SmoothFunction.polynomial(Poly((-x, Fraction(1)))), n, x, 0, **kwargs
-        )
-    scale = family.lambda_n.eval(n) / family.phi(x)
+    # the left side (S_n f)'(x) is a direct value too, taken first
+    scale, (lhs, s_f, s_psi_f, s_psi) = _right_side(
+        family, f, 0, n, x, ((0, 1), (0, 0), (1, 0)), tol, prec, quad_order
+    )
     return combine(
         lambda lhs, scale, s_psi_f, s_psi, s_f: lhs - scale * (s_psi_f - s_psi * s_f),
         lhs, scale, s_psi_f, s_psi, s_f, prec=prec,
@@ -435,15 +436,9 @@ def psi_m_derivative_identity_check(
             moment.dx().eval(n, x) * f.eval_exact(x, j)
             + moment.eval(n, x) * f.eval_exact(x, j + 1)
         ) / math.factorial(j)
-    with _inner_tol(tol, n, m + 2) as inner_tol:
-        kwargs = dict(tol=inner_tol, prec=prec, quad_order=quad_order)
-        s_up = operator_eval(family, _psi_times(f, x, m + 1), n, x, 0, **kwargs)
-        s_down = operator_eval(family, _psi_times(f, x, m - 1), n, x, 0, **kwargs)
-        s_f = operator_eval(family, f, n, x, 0, **kwargs)
-        s_psi = operator_eval(
-            family, SmoothFunction.polynomial(Poly((-x, Fraction(1)))), n, x, 0, **kwargs
-        )
-    scale = family.lambda_n.eval(n) / family.phi(x)
+    scale, (s_up, s_down, s_f, s_psi) = _right_side(
+        family, f, m, n, x, ((m + 1, 0), (m - 1, 0), (0, 0)), tol, prec, quad_order
+    )
     return combine(
         lambda lhs, scale, s_up, s_psi, s_f, s_down: (
             lhs - (scale * (s_up - s_psi * s_f) - m * s_down)

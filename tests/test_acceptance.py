@@ -24,17 +24,16 @@ from expasym.moments import (
     moment_expansion,
     vanishing_order,
 )
-from expasym.operators import (
+from expasym.families import (
     BASKAKOV,
     BERNSTEIN,
-    DEFAULT_TOL,
     GAUSS_WEIERSTRASS,
     SZASZ,
     Interval,
-    central_moment_direct,
     make_family,
-    operator_eval,
 )
+from expasym.numeric import DEFAULT_TOL
+from expasym.operators import central_moment_direct, operator_eval
 from expasym.expansion import evaluate_derivative_expansion, voronovskaja_limit
 from expasym.verify import (
     fit_order,

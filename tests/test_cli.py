@@ -288,3 +288,28 @@ class TestConfigSurface:
         second = run_cli(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+class TestImports:
+    """A cold symbolic subcommand loads neither mpmath nor the float side."""
+
+    PROBE = (
+        "import sys\n"
+        "from expasym.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "heavy = ('mpmath', 'expasym.operators', 'expasym.functions', 'expasym.verify')\n"
+        "print(status, [m for m in heavy if m in sys.modules], file=sys.stderr)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("moments", "--family", "bernstein", "--s-max", "8", "--format", "json"),
+            ("expansion", "--family", "szasz", "--q", "4"),
+        ],
+    )
+    def test_symbolic_subcommands_load_no_float_code(self, args):
+        cmd = [sys.executable, "-c", self.PROBE, *args]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        assert proc.stderr == "0 []\n"
+        assert proc.stdout

@@ -20,7 +20,7 @@ from expasym.expansion import (
 from expasym.functions import SmoothFunction, parse_function, to_mpf
 from expasym.moments import central_moments
 from expasym.numeric import dot
-from expasym.operators import (
+from expasym.families import (
     BASKAKOV,
     BERNSTEIN,
     GAUSS_WEIERSTRASS,

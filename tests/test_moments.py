@@ -15,16 +15,16 @@ from expasym.moments import (
     moment_expansion,
     vanishing_order,
 )
-from expasym.operators import (
+from expasym.families import (
     BASKAKOV,
     BERNSTEIN,
     FAMILIES,
     GAUSS_WEIERSTRASS,
     SZASZ,
     Interval,
-    central_moment_direct,
     make_family,
 )
+from expasym.operators import central_moment_direct
 
 from jetring import jet_value, moment_jets
 

@@ -10,16 +10,20 @@ from mpmath import mp
 
 from expasym.exactalg import Poly, RatFuncN
 from expasym.functions import SmoothFunction, parse_function, to_mpf
-from expasym.operators import (
+from expasym.families import (
     BASKAKOV,
     BERNSTEIN,
-    DEFAULT_TOL,
     FAMILIES,
     GAUSS_WEIERSTRASS,
     SZASZ,
+    Interval,
+    get_family,
+    make_family,
+)
+from expasym.numeric import DEFAULT_TOL, working
+from expasym.operators import (
     DerivativeOrderExceedsDegree,
     GrowthBoundViolated,
-    Interval,
     PrecisionTooLow,
     QuadratureNotConverged,
     _bernstein_integer_sum,
@@ -30,11 +34,8 @@ from expasym.operators import (
     check_growth,
     forward_difference,
     gauss_weierstrass_eval,
-    get_family,
-    make_family,
     operator_eval,
     szasz_eval,
-    working,
 )
 
 E2 = SmoothFunction.monomial(2)
@@ -859,12 +860,12 @@ class TestOracleIndependence:
     """operators.py is the oracle: it may share no code with the symbolic
     side it checks."""
 
-    ALLOWED_FROM_EXACTALG = {"MomentPoly", "Poly", "Rat", "RatFuncN", "Scalar", "_as_rat", "format_rat"}
+    ALLOWED_FROM_EXACTALG = {"Poly", "Rat", "Scalar", "_as_rat", "format_rat"}
     SYMBOLIC = {"moments", "expansion", "verify"}
+    SOURCE = Path(__file__).parent.parent / "src" / "expasym"
 
     def test_imports(self):
-        source = Path(__file__).parent.parent / "src" / "expasym" / "operators.py"
-        tree = ast.parse(source.read_text())
+        tree = ast.parse((self.SOURCE / "operators.py").read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = {alias.name.split(".")[-1] for alias in node.names}
@@ -877,3 +878,19 @@ class TestOracleIndependence:
                     assert not names & (self.SYMBOLIC | {"exactalg"}), ast.unparse(node)
                 if module == "exactalg":
                     assert names <= self.ALLOWED_FROM_EXACTALG, ast.unparse(node)
+
+    def test_symbolic_side_imports_neither_oracle_nor_studies(self):
+        # package modules each file imports, at any depth (TYPE_CHECKING
+        # blocks and function bodies included)
+        for name in ("exactalg", "families", "moments", "expansion"):
+            tree = ast.parse((self.SOURCE / f"{name}.py").read_text())
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    imported |= {node.module} if node.module else {a.name for a in node.names}
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+                    imported |= {m.split(".")[1] for m in modules if m.startswith("expasym.")}
+            assert not imported & {"operators", "verify"}, (name, imported)
+            if name == "families":
+                assert imported == {"exactalg"}, imported

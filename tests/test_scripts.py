@@ -19,7 +19,6 @@ def run_script(name, *args):
 @pytest.mark.parametrize(
     "name,args,expected",
     [
-        ("moment_catalog.py", ("--s-max", "4"), "mu[4] = "),
         ("extrapolation_ladder.py", ("--n0", "16", "--levels", "4"), "level 1: empirical order"),
     ],
 )

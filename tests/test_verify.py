@@ -10,16 +10,15 @@ from expasym import verify
 from expasym.exactalg import MomentPoly
 from expasym.functions import SmoothFunction, to_mpf
 from expasym.moments import central_moments
-from expasym.operators import (
+from expasym.families import (
     BASKAKOV,
     BERNSTEIN,
-    DEFAULT_TOL,
     FAMILIES,
     GAUSS_WEIERSTRASS,
     SZASZ,
-    PrecisionTooLow,
-    bernstein_eval,
 )
+from expasym.numeric import DEFAULT_TOL
+from expasym.operators import PrecisionTooLow, bernstein_eval
 from expasym.verify import (
     AllResidualsZero,
     GridNotDyadic,
