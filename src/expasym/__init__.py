@@ -31,7 +31,6 @@ _SOURCES = {
     "GridNotDyadic": "verify",
     "GrowthBoundViolated": "operators",
     "Interval": "families",
-    "LaurentSeries": "exactalg",
     "MomentPoly": "exactalg",
     "MomentTable": "moments",
     "NotPureExponentialIndex": "expansion",

@@ -21,21 +21,18 @@ mpmath.
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exactalg import format_rat
-from .families import OperatorFamily, get_family
-from .numeric import DEFAULT_PRECISION_BITS, DEFAULT_TOL, abs_le, format_number, resolve_precision
+from .families import get_family
+from .numeric import DEFAULT_TOL, abs_le, format_number, resolve_precision
 
 if TYPE_CHECKING:
-    from .functions import SmoothFunction
     from .verify import ConvergenceReport
 
 PRECISION_ENV = "EXPASYM_PRECISION_BITS"
@@ -43,38 +40,11 @@ FORMATS = ("text", "json", "csv")
 SIDES = ("operator", "expansion", "truncated")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one run depends on, already validated."""
-
-    subcommand: str
-    family: OperatorFamily | None = None
-    f: SmoothFunction | None = None
-    x: Fraction | None = None
-    n: int | None = None
-    r: int = 0
-    q: int | None = None
-    s_max: int | None = None
-    m_max: int | None = None
-    grid: tuple[int, ...] | None = None
-    orders: tuple[int, ...] | None = None
-    side: str = "operator"
-    tol: Fraction = DEFAULT_TOL
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    quad_order: int = 64
-    fmt: str = "text"
-    output: str | None = None
-
-
 def parse_rational(text: str) -> Fraction:
     """Rational from 'p/q', integer, or decimal (including exponent)."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return Fraction(decimal.Decimal(text))
-    except (decimal.InvalidOperation, ValueError):
         raise ValueError(f"cannot parse {text!r} as a rational") from None
 
 
@@ -105,6 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="expasym",
         description="symbolic moment tables and convergence studies for "
         "exponential-type approximation operators",
+    )
+    # options some subcommands lack read as unset on the namespace
+    parser.set_defaults(
+        family=None, f=None, x=None, n=None, r=0, q=None, s_max=None,
+        m_max=None, grid=None, orders=None, side="operator",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -163,48 +138,27 @@ def _resolve_precision_bits(flag: int | None) -> int:
     return resolve_precision(env if flag is None else flag)
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    get = lambda name, default=None: getattr(ns, name, default)
-    family = get_family(ns.family) if get("family") else None
-    f = None
-    if get("f"):
+def _prepare(ns: argparse.Namespace) -> None:
+    """Parse the option texts in place, then validate the run."""
+    ns.family = get_family(ns.family)
+    if ns.f is not None:
         from .functions import parse_function
 
-        f = parse_function(ns.f)
-    x = parse_rational(ns.x) if get("x") else None
-    tol = parse_rational(ns.tol) if get("tol") else DEFAULT_TOL
-    if tol <= 0:
+        ns.f = parse_function(ns.f)
+    # an empty text reads as an omitted option
+    ns.x = parse_rational(ns.x) if ns.x else None
+    ns.tol = parse_rational(ns.tol) if ns.tol else DEFAULT_TOL
+    if ns.tol <= 0:
         raise ValueError("tol must be positive")
-    grid = parse_grid(ns.grid) if get("grid") else None
-    orders = parse_orders(ns.orders) if get("orders") else None
-    quad_order = get("quad_order", 64)
-    config = RunConfig(
-        subcommand=ns.subcommand,
-        family=family,
-        f=f,
-        x=x,
-        n=get("n"),
-        r=get("r", 0) or 0,
-        q=get("q"),
-        s_max=get("s_max"),
-        m_max=get("m_max"),
-        grid=grid,
-        orders=orders,
-        side=get("side", "operator"),
-        tol=tol,
-        precision_bits=_resolve_precision_bits(get("precision_bits")),
-        quad_order=quad_order,
-        fmt=ns.format if get("format") else "text",
-        output=get("output"),
-    )
-    _validate(config)
-    return config
+    ns.grid = parse_grid(ns.grid) if ns.grid else None
+    ns.orders = parse_orders(ns.orders) if ns.orders else None
+    ns.precision_bits = _resolve_precision_bits(ns.precision_bits)
+    _validate(ns)
 
 
-def _validate(config: RunConfig) -> None:
+def _validate(c: argparse.Namespace) -> None:
     """Preconditions the library does not check before its expensive work;
     main maps every error the library raises to exit 2."""
-    c = config
     # --side expansion would otherwise evaluate the expansion at n <= 0
     if c.n is not None and c.n < 1:
         raise ValueError("n must be >= 1")
@@ -226,11 +180,11 @@ def _validate(config: RunConfig) -> None:
     if c.quad_order < 16:
         raise ValueError("quad-order must be >= 16")
     # the expansion sides never check the point, and extrapolate needs it interior
-    if c.x is not None and c.family is not None:
+    if c.x is not None:
         interior = c.subcommand in ("verify", "voronovskaja", "extrapolate", "identities")
         c.family.require_point(c.x, interior=interior)
     # Baskakov cannot sum fast-growing f; refuse it on the expansion sides too
-    if c.f is not None and c.family is not None:
+    if c.f is not None:
         from .operators import check_growth
 
         n_low = c.n if c.n is not None else (min(c.grid) if c.grid else None)
@@ -242,9 +196,8 @@ def _validate(config: RunConfig) -> None:
     if c.subcommand == "extrapolate" and len(c.orders) >= len(c.grid):
         raise ValueError("orders ladder too long for the grid")
     # only bernstein_eval rejects r > n, and the expansion sides never call it
-    if c.family is not None and c.family.evaluator == "bernstein" and c.n is not None:
-        if c.r > c.n:
-            raise ValueError(f"r = {c.r} above n = {c.n}")
+    if c.family.evaluator == "bernstein" and c.n is not None and c.r > c.n:
+        raise ValueError(f"r = {c.r} above n = {c.n}")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -259,25 +212,25 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _settings(config: RunConfig) -> dict:
+def _settings(c: argparse.Namespace) -> dict:
     return {
-        "tol": format_rat(config.tol),
-        "precision_bits": config.precision_bits,
-        "quad_order": config.quad_order,
+        "tol": format_rat(c.tol),
+        "precision_bits": c.precision_bits,
+        "quad_order": c.quad_order,
     }
 
 
-def _run_moments(c: RunConfig) -> tuple[str, bool]:
+def _run_moments(c: argparse.Namespace) -> tuple[str, bool]:
     from .moments import central_moments, moment_expansion
 
     table = central_moments(c.family, c.s_max)
-    if c.fmt == "text":
+    if c.format == "text":
         lines = [
             f"mu[{s}] = {table.moment(s).text()}" for s in range(c.s_max + 1)
         ]
         return "\n".join(lines) + "\n", True
     expansions = [moment_expansion(table.moment(s)) for s in range(c.s_max + 1)]
-    if c.fmt == "json":
+    if c.format == "json":
         payload = [
             {
                 "family": c.family.id,
@@ -297,17 +250,17 @@ def _run_moments(c: RunConfig) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", True
 
 
-def _run_expansion(c: RunConfig) -> tuple[str, bool]:
+def _run_expansion(c: argparse.Namespace) -> tuple[str, bool]:
     from .expansion import complete_coeffs
 
     coeffs = complete_coeffs(c.family, c.q)
-    if c.fmt == "text":
+    if c.format == "text":
         lines = []
         for coeff in coeffs:
             body = "; ".join(f"s={s}: {p.text()}" for s, p in coeff.terms) or "0"
             lines.append(f"a[{coeff.k}] = {body}")
         return "\n".join(lines) + "\n", True
-    if c.fmt == "json":
+    if c.format == "json":
         payload = [
             {
                 "family": c.family.id,
@@ -324,7 +277,7 @@ def _run_expansion(c: RunConfig) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", True
 
 
-def _run_evaluate(c: RunConfig) -> tuple[str, bool]:
+def _run_evaluate(c: argparse.Namespace) -> tuple[str, bool]:
     from .expansion import evaluate_derivative_expansion, truncated_sum
     from .operators import operator_eval
 
@@ -340,9 +293,9 @@ def _run_evaluate(c: RunConfig) -> tuple[str, bool]:
     else:
         value = truncated_sum(c.family, c.f, c.x, c.n, c.q, prec=c.precision_bits)
     rendered = format_number(value)
-    if c.fmt == "text":
+    if c.format == "text":
         return rendered + "\n", True
-    if c.fmt == "json":
+    if c.format == "json":
         payload = {
             "family": c.family.id,
             "f": c.f.describe(),
@@ -358,17 +311,17 @@ def _run_evaluate(c: RunConfig) -> tuple[str, bool]:
     return f"n,value\n{c.n},{rendered}\n", True
 
 
-def _report_output(c: RunConfig, report: ConvergenceReport) -> str:
-    if c.fmt == "json":
+def _report_output(c: argparse.Namespace, report: ConvergenceReport) -> str:
+    if c.format == "json":
         payload = report.to_json_dict()
         payload.update(_settings(c))
         return _json_text(payload)
-    if c.fmt == "csv":
+    if c.format == "csv":
         return report.to_csv_text()
     return report.to_text()
 
 
-def _run_verify(c: RunConfig) -> tuple[str, bool]:
+def _run_verify(c: argparse.Namespace) -> tuple[str, bool]:
     from .verify import residual_study
 
     report = residual_study(
@@ -378,7 +331,7 @@ def _run_verify(c: RunConfig) -> tuple[str, bool]:
     return _report_output(c, report), report.passed
 
 
-def _run_voronovskaja(c: RunConfig) -> tuple[str, bool]:
+def _run_voronovskaja(c: argparse.Namespace) -> tuple[str, bool]:
     from .verify import voronovskaja_study
 
     report = voronovskaja_study(
@@ -388,14 +341,14 @@ def _run_voronovskaja(c: RunConfig) -> tuple[str, bool]:
     return _report_output(c, report), report.passed
 
 
-def _run_extrapolate(c: RunConfig) -> tuple[str, bool]:
+def _run_extrapolate(c: argparse.Namespace) -> tuple[str, bool]:
     from .verify import richardson, scaled_defects
 
     values = scaled_defects(
         c.family, c.f, c.x, c.r, c.grid, c.tol, c.precision_bits, c.quad_order
     )
     levels = richardson(c.grid, values, c.orders, prec=c.precision_bits)
-    if c.fmt == "json":
+    if c.format == "json":
         payload = {
             "family": c.family.id,
             "f": c.f.describe(),
@@ -407,7 +360,7 @@ def _run_extrapolate(c: RunConfig) -> tuple[str, bool]:
             **_settings(c),
         }
         return _json_text(payload), True
-    if c.fmt == "csv":
+    if c.format == "csv":
         lines = ["n,value" + "".join(f",level{m}" for m in range(1, len(levels)))]
         for i, n in enumerate(c.grid):
             cells = [str(n), format_number(levels[0][i])]
@@ -422,7 +375,7 @@ def _run_extrapolate(c: RunConfig) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", True
 
 
-def _run_identities(c: RunConfig) -> tuple[str, bool]:
+def _run_identities(c: argparse.Namespace) -> tuple[str, bool]:
     from .verify import ode_identity_check, psi_m_derivative_identity_check
 
     checks = []
@@ -440,7 +393,7 @@ def _run_identities(c: RunConfig) -> tuple[str, bool]:
     bound = 10 * c.tol
     results = [(name, defect, abs_le(defect, bound)) for name, defect in checks]
     passed = all(ok for _name, _defect, ok in results)
-    if c.fmt == "json":
+    if c.format == "json":
         payload = {
             "family": c.family.id,
             "f": c.f.describe(),
@@ -454,7 +407,7 @@ def _run_identities(c: RunConfig) -> tuple[str, bool]:
             **_settings(c),
         }
         return _json_text(payload), passed
-    if c.fmt == "csv":
+    if c.format == "csv":
         lines = ["check,defect,pass"]
         for name, d, ok in results:
             lines.append(f"{name},{format_number(d)},{str(ok).lower()}")
@@ -494,12 +447,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(_join_negative_points(sys.argv[1:] if argv is None else argv))
     try:
-        config = _config_from(ns)
-        text, passed = _RUNNERS[config.subcommand](config)
+        _prepare(ns)
+        text, passed = _RUNNERS[ns.subcommand](ns)
     except Exception as exc:  # every library error carries its own name
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    _emit(text, config.output)
+    _emit(text, ns.output)
     return 0 if passed else 1
 
 

@@ -12,9 +12,9 @@ Representation conventions used everywhere downstream:
 * ``MomentPoly`` is a polynomial in x whose coefficients are RatFuncN.  That
   is exactly the shape of a central moment mu_{n,s}(x) and of everything the
   expansion machinery manipulates.
-* ``LaurentSeries`` is a truncated expansion  sum_j c_j n^{-j}  with
-  contiguous exponents min_exponent..order.  Negative j means a positive
-  power of n, so index sequences like lambda_n = n live at j = -1.
+* A truncated expansion  sum_j c_j n^{-j}  is the dict ``{j: c_j}`` of its
+  nonzero coefficients.  Negative j means a positive power of n, so index
+  sequences like lambda_n = n live at j = -1.
 
 Evaluation at a rational point (``horner_pair``, ``RatFuncN.eval``,
 ``MomentPoly.eval``) runs on Python ints over one unreduced numerator and
@@ -656,57 +656,17 @@ def _as_momentpoly(value) -> MomentPoly:
     return MomentPoly.const(_as_rat(value))
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
-    """Truncated expansion sum_{j=min_exponent}^{order} coeffs[j] * n^{-j}.
-
-    Exponents are contiguous; the coefficient at min_exponent is nonzero
-    unless the series is identically zero (empty coeffs)."""
-
-    min_exponent: int
-    coeffs: tuple[Rat, ...]
-    order: int
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(_as_rat(c) for c in self.coeffs)
-        min_exponent = self.min_exponent
-        while coeffs and coeffs[0] == 0:
-            coeffs = coeffs[1:]
-            min_exponent += 1
-        if not coeffs:
-            min_exponent = 0
-        elif min_exponent + len(coeffs) - 1 != self.order:
-            raise ValueError("Laurent coefficients not contiguous up to order")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "min_exponent", min_exponent)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, exponent: int) -> Rat:
-        if self.coeffs and self.min_exponent <= exponent <= self.order:
-            return self.coeffs[exponent - self.min_exponent]
-        return Fraction(0)
-
-    def nonzero(self) -> dict[int, Rat]:
-        return {
-            self.min_exponent + i: c
-            for i, c in enumerate(self.coeffs)
-            if c != 0
-        }
-
-
-def laurent_at_infinity(r: RatFuncN, J: int) -> LaurentSeries:
-    """Expansion of r(n) in powers of 1/n, exact through n^{-J}.
+def laurent_at_infinity(r: RatFuncN, J: int) -> dict[int, Rat]:
+    """Expansion of r(n) in powers of 1/n, exact through n^{-J}: the
+    nonzero coefficients c_j of n^{-j} for j <= J, as {j: c_j}.
 
     Computed by reversing coefficients (substituting n = 1/u) and dividing
     power series at u = 0; the remainder beyond order J is O(n^{-(J+1)})."""
     if r.is_zero:
-        return LaurentSeries(0, (), J)
+        return {}
     lead = r.order_at_infinity
     if lead > J:
-        return LaurentSeries(0, (), J)
+        return {}
     # num(1/u) * u^deg and den(1/u) * u^deg have nonzero constant terms.
     # Only the nonzero coefficients of the reversed denominator enter the
     # division, so den = d*n^t makes each output a scaled input.
@@ -722,4 +682,4 @@ def laurent_at_infinity(r: RatFuncN, J: int) -> LaurentSeries:
                 break
             value -= c * out[k - i]
         out.append(value / den_rev[0])
-    return LaurentSeries(lead, tuple(out), J)
+    return {lead + k: c for k, c in enumerate(out) if c}

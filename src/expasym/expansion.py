@@ -13,7 +13,8 @@ Three views of the same Taylor-plus-moments bookkeeping:
 
 voronovskaja_limit is the r-times differentiated second-order limit
 lim n [(S_n f)^{(r)} - f^{(r)}] = (phi f'')^{(r)} / 2, valid for families
-with index sequence n and vanishing first moment.
+with index sequence n and vanishing first moment, read off the memoised
+order-1 derivative terms.
 
 Every evaluated form is a weighted sum of derivatives of f at x with
 rational weights; _derivative_sum computes it, exact or mpf as decided in
@@ -229,20 +230,21 @@ def voronovskaja_limit(
     r: int,
     prec: int | None = None,
 ) -> Number:
-    """lim_n n [(S_n f)^{(r)}(x) - f^{(r)}(x)] = (phi f'')^{(r)}(x) / 2,
-    expanded by Leibniz since phi has degree at most 2."""
+    """lim_n n [(S_n f)^{(r)}(x) - f^{(r)}(x)] = (phi f'')^{(r)}(x) / 2.
+
+    With lambda_n = n and mu_1 = 0 the order-1 truncated sum is exactly
+    f + phi f''/(2n), so the limit is its Leibniz terms past s_source = 0
+    weighted at n = 1."""
     if r < 0:
         raise ValueError("r must be >= 0")
     _require_pure(family)
     x = _as_rat(x)
-    phi_derivs = [family.phi]
-    while not phi_derivs[-1].is_zero:
-        phi_derivs.append(phi_derivs[-1].derivative())
-    splits = [
-        (Fraction(math.comb(r, i), 2) * phi_derivs[i](x), 2 + r - i)
-        for i in range(min(r, len(phi_derivs) - 1) + 1)
+    weighted = [
+        (term.coefficient.eval(1, x), term.s)
+        for term in _entry(family, 1, r).terms
+        if term.s_source
     ]
-    return _derivative_sum(f, x, splits, prec)
+    return _derivative_sum(f, x, weighted, prec)
 
 
 def _derivative_sum(

@@ -23,28 +23,16 @@ class Interval:
 
     lower: Rat | None
     upper: Rat | None
-    lower_closed: bool = True
-    upper_closed: bool = True
 
     def contains(self, x: Rat) -> bool:
-        if self.lower is not None:
-            if x < self.lower or (x == self.lower and not self.lower_closed):
-                return False
-        if self.upper is not None:
-            if x > self.upper or (x == self.upper and not self.upper_closed):
-                return False
-        return True
+        return (self.lower is None or x >= self.lower) and (self.upper is None or x <= self.upper)
 
     def is_interior(self, x: Rat) -> bool:
-        if self.lower is not None and x <= self.lower:
-            return False
-        if self.upper is not None and x >= self.upper:
-            return False
-        return True
+        return (self.lower is None or x > self.lower) and (self.upper is None or x < self.upper)
 
     def text(self) -> str:
-        left = "(-oo" if self.lower is None else ("[" if self.lower_closed else "(") + format_rat(self.lower)
-        right = "oo)" if self.upper is None else format_rat(self.upper) + ("]" if self.upper_closed else ")")
+        left = "(-oo" if self.lower is None else "[" + format_rat(self.lower)
+        right = "oo)" if self.upper is None else format_rat(self.upper) + "]"
         return f"{left}, {right}"
 
 
@@ -68,24 +56,16 @@ def _sign_affine_sqrt(p: Rat, q: Rat, disc: Rat) -> int:
 
 def _phi_has_root_in_open(phi: Poly, interval: Interval) -> bool:
     """Exact root location for deg <= 2 over the open interval."""
-
-    def inside(root: Rat) -> bool:
-        if interval.lower is not None and root <= interval.lower:
-            return False
-        if interval.upper is not None and root >= interval.upper:
-            return False
-        return True
-
     if phi.degree <= 0:
         return False
     if phi.degree == 1:
-        return inside(-phi.coeff(0) / phi.coeff(1))
+        return interval.is_interior(-phi.coeff(0) / phi.coeff(1))
     a, b, c = phi.coeff(2), phi.coeff(1), phi.coeff(0)
     disc = b * b - 4 * a * c
     if disc < 0:
         return False
     if disc == 0:
-        return inside(-b / (2 * a))
+        return interval.is_interior(-b / (2 * a))
     for sigma in (1, -1):
         ok = True
         if interval.lower is not None:

@@ -35,14 +35,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import (
-    LaurentSeries,
-    MomentPoly,
-    Poly,
-    RatFuncN,
-    laurent_at_infinity,
-    poly_gcd,
-)
+from .exactalg import MomentPoly, Poly, RatFuncN, laurent_at_infinity, poly_gcd
 from .families import OperatorFamily
 
 MAX_MOMENT_ORDER = 64
@@ -231,8 +224,7 @@ def moment_expansion(mu: MomentPoly, J: int | None = None) -> dict[int, Poly]:
         J = deepest
     out: dict[int, dict[int, Fraction]] = {}
     for power, coeff in mu.items():
-        series = laurent_at_infinity(coeff, J)
-        for j, value in series.nonzero().items():
+        for j, value in laurent_at_infinity(coeff, J).items():
             out.setdefault(j, {})[power] = value
     result: dict[int, Poly] = {}
     for j in sorted(out):

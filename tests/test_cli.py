@@ -255,6 +255,19 @@ class TestConfigSurface:
         proc = run_cli("evaluate", "--family", "szasz", "--f", "poly:a,b", "--x", "1", "--n", "10")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("option", [("--tol", "inf"), ("--x", "Infinity"), ("--x", "1_")])
+    def test_non_rational_text_is_refused(self, option):
+        # neither an infinity nor a misplaced digit separator is a rational
+        proc = run_cli("evaluate", "--family", "szasz", "--f", "exp:1", "--x", "1", "--n", "8", *option)
+        assert proc.returncode == 2
+        assert "cannot parse" in proc.stderr
+
+    def test_options_are_checked_in_order(self):
+        # the family is parsed before the point, so its error wins
+        proc = run_cli("evaluate", "--family", "nope", "--f", "exp:1", "--x", "abc", "--n", "8")
+        assert proc.returncode == 2
+        assert "unknown family 'nope'" in proc.stderr
+
     def test_bad_grid_spec(self):
         proc = run_cli(
             "verify", "--family", "bernstein", "--f", "exp:1",

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from expasym.exactalg import (
     DenominatorZero,
     IntegerForm,
-    LaurentSeries,
     MomentPoly,
     Poly,
     RatFuncN,
@@ -390,35 +389,24 @@ class TestLaurent:
     def test_simple_expansion(self):
         # n/(n+1) = 1 - 1/n + 1/n^2 - ...
         r = RatFuncN(Poly((0, 1)), Poly((1, 1)))
-        series = laurent_at_infinity(r, 2)
-        assert series.nonzero() == {0: F(1), 1: F(-1), 2: F(1)}
+        assert laurent_at_infinity(r, 2) == {0: F(1), 1: F(-1), 2: F(1)}
 
     def test_zero_function(self):
-        assert laurent_at_infinity(RatFuncN.const(0), 3).is_zero
+        assert laurent_at_infinity(RatFuncN.const(0), 3) == {}
 
     def test_deep_leading_order_returns_empty(self):
         r = RatFuncN(Poly.const(1), Poly((0, 0, 0, 1)))  # n^-3
-        assert laurent_at_infinity(r, 2).is_zero
-        assert laurent_at_infinity(r, 3).nonzero() == {3: F(1)}
+        assert laurent_at_infinity(r, 2) == {}
+        assert laurent_at_infinity(r, 3) == {3: F(1)}
 
     def test_gapped_denominator(self):
         # 1/(n^3 + 5n^2 + 2) = u^3 / (1 + 5u + 2u^3) with u = 1/n, and
         # 1/(1 + 5u + 2u^3) = sum c_k u^k with c_k = -5 c_{k-1} - 2 c_{k-3}
         r = RatFuncN(Poly.const(1), Poly((2, 0, 5, 1)))
-        series = laurent_at_infinity(r, 9)
-        assert series.nonzero() == {
+        assert laurent_at_infinity(r, 9) == {
             3: F(1), 4: F(-5), 5: F(25), 6: F(-127),
             7: F(645), 8: F(-3275), 9: F(16629),
         }
-
-    def test_contiguity_enforced(self):
-        with pytest.raises(ValueError):
-            LaurentSeries(0, (F(1), F(2)), 3)
-
-    def test_leading_zeros_normalized(self):
-        s = LaurentSeries(1, (F(0), F(2)), 2)
-        assert s.min_exponent == 2
-        assert s.coeff(2) == F(2)
 
     @given(ratfuncs, st.integers(min_value=0, max_value=6))
     def test_truncation_error_order(self, r, J):
@@ -428,7 +416,7 @@ class TestLaurent:
         series = laurent_at_infinity(r, J)
         n_var = RatFuncN.index()
         truncation = RatFuncN.const(0)
-        for j, c in series.nonzero().items():
+        for j, c in series.items():
             truncation = truncation + RatFuncN.const(c) / n_var**j
         remainder = r - truncation
         assert remainder.is_zero or remainder.order_at_infinity > J
@@ -448,6 +436,6 @@ class TestLaurent:
             r = r + RatFuncN.const(c) / n_var**j
         J = max(coeffs, default=0)
         series = laurent_at_infinity(r, J)
-        assert series.nonzero() == coeffs
+        assert series == coeffs
         if not r.is_zero:
-            assert sum(c * F(7) ** -j for j, c in series.nonzero().items()) == r.eval(7)
+            assert sum(c * F(7) ** -j for j, c in series.items()) == r.eval(7)

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import gc
+import itertools
 import math
 
 import pytest
@@ -308,3 +309,39 @@ class TestVoronovskajaLimit:
     def test_shifted_index_rejected(self):
         with pytest.raises(NotPureExponentialIndex):
             voronovskaja_limit(synthetic_family(), SmoothFunction.monomial(2), F(1, 2), 0)
+
+    @pytest.mark.parametrize(
+        "family, points",
+        [
+            (BERNSTEIN, (F(1, 3), F(5, 8))),
+            (SZASZ, (F(1), F(7, 3))),
+            (BASKAKOV, (F(1, 2), F(7, 3))),
+            (GAUSS_WEIERSTRASS, (F(-5, 4), F(2))),
+        ],
+        ids=["bernstein", "szasz", "baskakov", "gauss_weierstrass"],
+    )
+    def test_equals_the_leibniz_rule_over_phi(self, family, points):
+        # exact values ==, float values to the bit
+        specs = ("poly:1,-2,0,3,1/2", "exp:1", "exp:-3/2", "sin:2,1/3")
+        for spec, x, r, prec in itertools.product(specs, points, range(6), (None, 64, 96)):
+            f = parse_function(spec)
+            got = voronovskaja_limit(family, f, x, r, prec=prec)
+            want = reference_limit(family, f, x, r, prec=prec)
+            case = (spec, x, r, prec)
+            if isinstance(want, F):
+                assert type(got) is F and got == want, case
+            else:
+                assert got._mpf_ == want._mpf_, case
+
+
+def reference_limit(family, f, x, r, prec=None):
+    """(phi f'')^{(r)}(x) / 2 by Leibniz over the derivatives of phi,
+    with no moment table."""
+    phi_derivs = [family.phi]
+    while not phi_derivs[-1].is_zero:
+        phi_derivs.append(phi_derivs[-1].derivative())
+    splits = [
+        (F(math.comb(r, i), 2) * phi_derivs[i](x), 2 + r - i)
+        for i in range(min(r, len(phi_derivs) - 1) + 1)
+    ]
+    return expansion._derivative_sum(f, x, splits, prec)
